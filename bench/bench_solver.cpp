@@ -1,29 +1,18 @@
-// Sparse linear-algebra fast-path A/B bench (seeds the solver trajectory).
+// TCAD linear-solver bench (seeds the solver trajectory).
 //
-// Sweeps structured mesh sizes up to 256x256 and times the TCAD nonlinear
-// Poisson and drift-diffusion solves with three linear-solver policies per
-// size:
-//   legacy  Jacobi-preconditioned BiCGSTAB + dense LU fallback, fresh
-//           pattern build per Newton iteration (kLegacy);
-//   ilu     workspace fast path with ILU(0)-preconditioned Krylov and
-//           banded LU fallback (kIlu) — the multigrid A/B control;
-//   mg      full fast path (kFast): geometric multigrid V-cycle
-//           preconditioning on meshes larger than 32 on a side, falling
-//           back to the ILU rung otherwise.
-// The legacy runs are capped separately (STCO_BENCH_SOLVER_LEGACY_MAX)
-// because dense fallbacks make them cubic in node count; physics agreement
-// is checked mg-vs-ilu at every size and against legacy when it ran. Mean
-// Krylov iterations under the MG preconditioner are read per size from the
-// solver.mg.iterations histogram delta: near-constant iterations across
-// sizes is the near-O(n) claim.
+// Sweeps square structured meshes and times the TCAD nonlinear Poisson
+// and drift-diffusion solves on the one linear-solver ladder every caller
+// runs: ILU(0)-preconditioned BiCGSTAB, then banded LU, then the counted
+// dense LU. Per size it reports both solve times, the mean Krylov
+// iterations per linear solve of the Poisson run (from the
+// solver.linear.iterations histogram delta), and whether every solve
+// converged.
 //
-// Also runs a standard bias sweep on the mg path and reports the
+// Also runs a standard bias sweep and reports the
 // `solver.linear.dense_fallback` delta, which must be 0.
 //
 // Emits BENCH_solver.json with the embedded obs snapshot.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,13 +28,10 @@ using namespace stco;
 
 struct SizeResult {
   std::size_t nx = 0, ny = 0;
-  double poisson_legacy_s = 0.0;  ///< 0 when legacy skipped at this size
-  double poisson_ilu_s = 0.0, poisson_mg_s = 0.0;
-  double dd_legacy_s = 0.0;       ///< 0 when DD or legacy skipped
-  double dd_ilu_s = 0.0, dd_mg_s = 0.0;  ///< 0 when DD skipped at this size
-  double mg_mean_iters = 0.0;  ///< mean Krylov iters per MG-preconditioned solve
-  std::uint64_t mg_solves = 0; ///< MG-converged solves at this size (0 => ILU rung)
-  bool physics_match = true;   ///< mg vs ilu (and vs legacy when run) within tol
+  double poisson_s = 0.0;
+  double dd_s = 0.0;            ///< 0 when DD skipped at this size
+  double mean_krylov_iters = 0.0;  ///< per linear solve of the Poisson run
+  bool converged = true;        ///< Poisson (and DD when run) converged
 };
 
 /// ny = n_ch + n_ox + 1 (gate row); pick a film/oxide split with ny == nx.
@@ -54,34 +40,16 @@ void square_mesh_rows(std::size_t nx, std::size_t& n_ch, std::size_t& n_ox) {
   n_ox = nx - n_ch - 1;
 }
 
-double max_abs_diff(const numeric::Vec& a, const numeric::Vec& b) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
-}
-
 }  // namespace
 
 int main() {
-  bench::header("bench_solver: legacy vs ILU(0) vs multigrid sparse path (TCAD)");
+  bench::header("bench_solver: TCAD ILU(0) -> band -> dense linear ladder");
 
   tcad::TftDevice dev;
   dev.semi = tcad::igzo_params();
   const tcad::Bias bias{3.0, 1.0, 0.0};
 
-  tcad::PoissonOptions p_legacy, p_ilu, p_mg;
-  p_legacy.linear_solver = tcad::LinearSolverPolicy::kLegacy;
-  p_ilu.linear_solver = tcad::LinearSolverPolicy::kIlu;
-  p_mg.linear_solver = tcad::LinearSolverPolicy::kFast;
-  tcad::DriftDiffusionOptions d_legacy, d_ilu, d_mg;
-  d_legacy.linear_solver = tcad::LinearSolverPolicy::kLegacy;
-  d_ilu.linear_solver = tcad::LinearSolverPolicy::kIlu;
-  d_mg.linear_solver = tcad::LinearSolverPolicy::kFast;
-
   const std::size_t max_size = bench::env_size("STCO_BENCH_SOLVER_MAX", 64, 256);
-  const std::size_t legacy_max_size =
-      bench::env_size("STCO_BENCH_SOLVER_LEGACY_MAX", 96, 96);
   const std::size_t dd_max_size = bench::env_size("STCO_BENCH_SOLVER_DD_MAX", 64, 64);
   std::vector<std::size_t> sizes;
   for (std::size_t nx : {std::size_t{16}, std::size_t{32}, std::size_t{48},
@@ -89,12 +57,11 @@ int main() {
                          std::size_t{192}, std::size_t{256}})
     if (nx <= max_size) sizes.push_back(nx);
 
-  auto& mg_iters_hist =
-      obs::histogram("solver.mg.iterations", {2, 5, 10, 20, 40, 80});
+  auto& iters_hist =
+      obs::histogram("solver.linear.iterations", {2, 5, 10, 20, 40, 80, 160, 320});
 
-  std::printf("%7s  %10s %9s %9s %8s %7s  %9s %9s %8s\n", "mesh", "p-legacy",
-              "p-ilu", "p-mg", "speedup", "mg-it", "dd-ilu", "dd-mg", "speedup");
-  bench::rule('-', 100);
+  std::printf("%7s  %10s %8s %10s\n", "mesh", "poisson", "krylov-it", "dd");
+  bench::rule('-', 60);
 
   std::vector<SizeResult> results;
   for (std::size_t nx : sizes) {
@@ -106,73 +73,32 @@ int main() {
     r.nx = nx;
     r.ny = mesh.ny();
 
+    const auto it_count0 = iters_hist.count();
+    const auto it_sum0 = iters_hist.sum();
     bench::Timer t;
-    tcad::PoissonSolution ps_legacy;
-    const bool run_legacy = nx <= legacy_max_size;
-    if (run_legacy) {
-      ps_legacy = tcad::solve_poisson(dev, bias, mesh, p_legacy);
-      r.poisson_legacy_s = t.seconds();
-    }
-    t.reset();
-    const auto ps_ilu = tcad::solve_poisson(dev, bias, mesh, p_ilu);
-    r.poisson_ilu_s = t.seconds();
-
-    const auto it_count0 = mg_iters_hist.count();
-    const auto it_sum0 = mg_iters_hist.sum();
-    const auto mg_solves0 = obs::counter("solver.mg.solves").value();
-    t.reset();
-    const auto ps_mg = tcad::solve_poisson(dev, bias, mesh, p_mg);
-    r.poisson_mg_s = t.seconds();
-    const auto it_dcount = mg_iters_hist.count() - it_count0;
-    r.mg_mean_iters = it_dcount == 0
-                          ? 0.0
-                          : (mg_iters_hist.sum() - it_sum0) /
-                                static_cast<double>(it_dcount);
-    r.mg_solves = obs::counter("solver.mg.solves").value() - mg_solves0;
-
-    if (!(ps_ilu.converged && ps_mg.converged) ||
-        max_abs_diff(ps_mg.potential, ps_ilu.potential) > 1e-6)
-      r.physics_match = false;
-    if (run_legacy &&
-        (!ps_legacy.converged ||
-         max_abs_diff(ps_mg.potential, ps_legacy.potential) > 1e-6))
-      r.physics_match = false;
+    const auto ps = tcad::solve_poisson(dev, bias, mesh);
+    r.poisson_s = t.seconds();
+    const auto it_dcount = iters_hist.count() - it_count0;
+    r.mean_krylov_iters = it_dcount == 0
+                              ? 0.0
+                              : (iters_hist.sum() - it_sum0) /
+                                    static_cast<double>(it_dcount);
+    r.converged = ps.converged;
 
     if (nx <= dd_max_size) {
-      tcad::DriftDiffusionSolution dd_legacy;
-      if (run_legacy) {
-        t.reset();
-        dd_legacy = tcad::solve_drift_diffusion(dev, bias, mesh, d_legacy);
-        r.dd_legacy_s = t.seconds();
-      }
       t.reset();
-      const auto dd_ilu = tcad::solve_drift_diffusion(dev, bias, mesh, d_ilu);
-      r.dd_ilu_s = t.seconds();
-      t.reset();
-      const auto dd_mg = tcad::solve_drift_diffusion(dev, bias, mesh, d_mg);
-      r.dd_mg_s = t.seconds();
-      const double id_scale = std::max(std::fabs(dd_ilu.drain_current), 1e-18);
-      if (!(dd_ilu.converged && dd_mg.converged) ||
-          std::fabs(dd_mg.drain_current - dd_ilu.drain_current) > 0.01 * id_scale)
-        r.physics_match = false;
-      if (run_legacy &&
-          (!dd_legacy.converged ||
-           std::fabs(dd_mg.drain_current - dd_legacy.drain_current) >
-               0.01 * std::max(std::fabs(dd_legacy.drain_current), 1e-18)))
-        r.physics_match = false;
+      const auto dd = tcad::solve_drift_diffusion(dev, bias, mesh);
+      r.dd_s = t.seconds();
+      r.converged = r.converged && dd.converged;
     }
 
-    std::printf("%3zux%-3zu %9.3fs %8.3fs %8.3fs %7.2fx %7.1f %8.3fs %8.3fs %7.2fx%s\n",
-                r.nx, r.ny, r.poisson_legacy_s, r.poisson_ilu_s, r.poisson_mg_s,
-                r.poisson_mg_s > 0 ? r.poisson_ilu_s / r.poisson_mg_s : 0.0,
-                r.mg_mean_iters, r.dd_ilu_s, r.dd_mg_s,
-                r.dd_mg_s > 0 ? r.dd_ilu_s / r.dd_mg_s : 0.0,
-                r.physics_match ? "" : "  [PHYSICS MISMATCH]");
+    std::printf("%3zux%-3zu %9.3fs %9.1f %9.3fs%s\n", r.nx, r.ny, r.poisson_s,
+                r.mean_krylov_iters, r.dd_s,
+                r.converged ? "" : "  [NOT CONVERGED]");
     results.push_back(r);
   }
 
-  // Standard bias sweep on the mg path only: the dense-fallback counter
-  // must not move. (The legacy runs above use the dense path by design.)
+  // Standard bias sweep: the dense-fallback counter must not move.
   const auto fallback_before =
       obs::counter("solver.linear.dense_fallback").value();
   {
@@ -181,29 +107,25 @@ int main() {
     for (double vg : {0.0, 1.0, 2.0, 3.0, 4.0}) {
       const tcad::Bias b{vg, 1.0, 0.0};
       const auto mesh_b = tcad::build_mesh(dev, b, 64, n_ch, n_ox);
-      (void)tcad::solve_poisson(dev, b, mesh_b, p_mg);
+      (void)tcad::solve_poisson(dev, b, mesh_b);
     }
   }
   const auto fallback_sweep =
       obs::counter("solver.linear.dense_fallback").value() - fallback_before;
-  bench::rule('-', 100);
-  std::printf("dense fallbacks during mg-path bias sweep: %llu (target 0)\n",
+  bench::rule('-', 60);
+  std::printf("dense fallbacks during bias sweep: %llu (target 0)\n",
               static_cast<unsigned long long>(fallback_sweep));
 
   std::string payload = "  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    char buf[640];
+    char buf[320];
     std::snprintf(buf, sizeof buf,
-                  "    {\"nx\": %zu, \"ny\": %zu, \"poisson_legacy_s\": %.6f, "
-                  "\"poisson_ilu_s\": %.6f, \"poisson_mg_s\": %.6f, "
-                  "\"dd_legacy_s\": %.6f, \"dd_ilu_s\": %.6f, \"dd_mg_s\": %.6f, "
-                  "\"mg_mean_iters\": %.2f, \"mg_solves\": %llu, "
-                  "\"physics_match\": %s}%s\n",
-                  r.nx, r.ny, r.poisson_legacy_s, r.poisson_ilu_s, r.poisson_mg_s,
-                  r.dd_legacy_s, r.dd_ilu_s, r.dd_mg_s, r.mg_mean_iters,
-                  static_cast<unsigned long long>(r.mg_solves),
-                  r.physics_match ? "true" : "false",
+                  "    {\"nx\": %zu, \"ny\": %zu, \"poisson_s\": %.6f, "
+                  "\"dd_s\": %.6f, \"mean_krylov_iters\": %.2f, "
+                  "\"converged\": %s}%s\n",
+                  r.nx, r.ny, r.poisson_s, r.dd_s, r.mean_krylov_iters,
+                  r.converged ? "true" : "false",
                   i + 1 < results.size() ? "," : "");
     payload += buf;
   }

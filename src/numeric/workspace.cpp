@@ -1,5 +1,6 @@
 #include "src/numeric/workspace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,6 +12,23 @@ namespace stco::numeric {
 
 namespace {
 
+// Relative residual target for the BiCGSTAB rung. It asks for an extra
+// digit beyond the 1e-12 the Newton loops need: ILU(0) converges in O(1)
+// iterations so it tends to land *just* under the tolerance, whereas a
+// slow Jacobi-preconditioned solve overshoots well past it on its final
+// sweep. Residual physical quantities (e.g. the equilibrium terminal
+// current, a pure cancellation) inherit that final-residual gap, so the
+// cheap extra digit keeps them insensitive to the preconditioner.
+constexpr double kKrylovTol = 1e-14;
+
+// Re-factor the ILU when any matrix entry's relative drift since the last
+// factorization exceeds this (worst per-entry rule, see values_fresh).
+constexpr double kRefactorThreshold = 0.25;
+
+// A band/dense answer is accepted when its true relative residual is
+// below this, even if it misses the (very tight) Krylov tolerance.
+constexpr double kDirectResidualTol = 1e-6;
+
 struct LinearMetrics {
   obs::Counter& solves = obs::counter("solver.linear.solves");
   obs::Counter& pattern_builds = obs::counter("solver.linear.pattern_builds");
@@ -18,12 +36,8 @@ struct LinearMetrics {
   obs::Counter& ilu_refactors = obs::counter("solver.linear.ilu_refactors");
   obs::Counter& band_solves = obs::counter("solver.linear.band_solves");
   obs::Counter& dense_fallback = obs::counter("solver.linear.dense_fallback");
-  obs::Counter& mg_solves = obs::counter("solver.mg.solves");
-  obs::Counter& mg_fallbacks = obs::counter("solver.mg.fallbacks");
   obs::Histogram& iterations =
       obs::histogram("solver.linear.iterations", {2, 5, 10, 20, 40, 80, 160, 320});
-  obs::Histogram& mg_iterations =
-      obs::histogram("solver.mg.iterations", {2, 5, 10, 20, 40, 80});
   obs::Gauge& workspace_bytes = obs::gauge("solver.workspace_bytes");
 };
 
@@ -34,36 +48,57 @@ LinearMetrics& metrics() {
 
 // Estimated resident footprint of one NewtonWorkspace: the CSR matrix
 // (row_ptr + col_idx + values), the cached factored values, the Krylov
-// residual scratch, the ILU factorization (same pattern as a_, so roughly
-// another values + col_idx copy when valid), and the multigrid hierarchy
-// (transfers + coarse operators + scratch + coarsest band factors).
-// High-water gauge — concurrent workspaces report the largest one, which
-// is what an OOM post-mortem wants to know.
+// residual scratch, and the ILU factorization (same pattern as a_, so
+// roughly another values + col_idx copy when valid). High-water gauge —
+// concurrent workspaces report the largest one, which is what an OOM
+// post-mortem wants to know.
 std::size_t workspace_footprint(const SparseMatrix& a, bool ilu_valid,
                                 std::size_t factored_values,
-                                std::size_t residual_scratch,
-                                std::size_t mg_bytes) {
+                                std::size_t residual_scratch) {
   const std::size_t nnz = a.values().size();
   std::size_t bytes = (a.rows() + 1) * sizeof(std::size_t)  // row_ptr
                       + nnz * (sizeof(std::size_t) + sizeof(double))
                       + factored_values * sizeof(double)
-                      + residual_scratch * sizeof(double) + mg_bytes;
+                      + residual_scratch * sizeof(double);
   if (ilu_valid) bytes += nnz * (sizeof(std::size_t) + sizeof(double));
   return bytes;
 }
 
-}  // namespace
-
-LinearSolverOptions fast_linear_options() { return LinearSolverOptions{}; }
-
-LinearSolverOptions legacy_linear_options() {
-  LinearSolverOptions o;
-  o.use_ilu = false;
-  o.use_band = false;
-  o.reuse_pattern = false;
-  o.allow_dense_fallback = true;
-  return o;
+// Worst per-entry relative drift of `current` against `snapshot`. An
+// aggregate norm would be dominated by the largest entries (e.g. O(1)
+// Dirichlet rows next to O(1e-11) stencil couplings) and miss
+// order-of-magnitude swings in the small ones — and a preconditioner that
+// is stale in *any* entry's scale can stall Krylov.
+bool values_fresh(const std::vector<double>& current,
+                  const std::vector<double>& snapshot) {
+  if (snapshot.size() != current.size()) return false;
+  double worst = 0.0;
+  for (std::size_t k = 0; k < current.size(); ++k) {
+    const double scale = std::max(std::fabs(current[k]), std::fabs(snapshot[k]));
+    if (scale < 1e-300) continue;
+    worst = std::max(worst, std::fabs(current[k] - snapshot[k]) / scale);
+    if (worst > kRefactorThreshold) return false;
+  }
+  return worst <= kRefactorThreshold;
 }
+
+// Accept a band/dense solution `x` into `res` when its true relative
+// residual (computed in `scratch`) is finite and below kDirectResidualTol.
+bool accept_direct(const SparseMatrix& a, const Vec& rhs, double bnorm, Vec&& x,
+                   Vec& scratch, IterativeResult& res) {
+  a.apply(x, scratch);
+  axpy(-1.0, rhs, scratch);
+  const double rel = bnorm > 0.0 ? norm2(scratch) / bnorm : norm2(scratch);
+  if (!(std::isfinite(rel) && rel < kDirectResidualTol)) return false;
+  res.x = std::move(x);
+  res.residual = rel;
+  res.converged = true;
+  res.status.reason = SolveReason::kOk;
+  res.status.residual = rel;
+  return true;
+}
+
+}  // namespace
 
 void NewtonWorkspace::assemble(const TripletBuilder& b) {
   if constexpr (contract::kChecksEnabled) {
@@ -74,8 +109,7 @@ void NewtonWorkspace::assemble(const TripletBuilder& b) {
       STCO_REQUIRE(std::isfinite(t.value),
                    "non-finite Jacobian entry handed to NewtonWorkspace::assemble");
   }
-  const bool same_shape = has_pattern_ && a_.rows() == b.rows() && a_.cols() == b.cols();
-  if (opts_.reuse_pattern && same_shape) {
+  if (has_pattern_ && a_.rows() == b.rows() && a_.cols() == b.cols()) {
     try {
       a_.refill(b);
       ++stats_.refills;
@@ -89,12 +123,10 @@ void NewtonWorkspace::assemble(const TripletBuilder& b) {
   has_pattern_ = true;
   ilu_.invalidate();
   factored_values_.clear();
-  mg_.reset();
-  mg_values_.clear();
   ++stats_.pattern_builds;
   metrics().pattern_builds.add(1);
   metrics().workspace_bytes.set_max(static_cast<double>(workspace_footprint(
-      a_, false, factored_values_.size(), residual_scratch_.size(), 0)));
+      a_, false, factored_values_.size(), residual_scratch_.size())));
 }
 
 void NewtonWorkspace::reset() {
@@ -102,39 +134,11 @@ void NewtonWorkspace::reset() {
   has_pattern_ = false;
   ilu_.invalidate();
   factored_values_.clear();
-  mg_.reset();
-  mg_values_.clear();
-}
-
-// Worst per-entry relative drift of `current` against `snapshot`. An
-// aggregate norm would be dominated by the largest entries (e.g. O(1)
-// Dirichlet rows next to O(1e-11) stencil couplings) and miss
-// order-of-magnitude swings in the small ones — and a preconditioner that
-// is stale in *any* entry's scale can stall Krylov. Shared between the ILU
-// and multigrid staleness gates so the two rungs age under one rule.
-bool NewtonWorkspace::values_fresh(const std::vector<double>& current,
-                                   const std::vector<double>& snapshot,
-                                   double threshold) {
-  if (snapshot.size() != current.size()) return false;
-  if (threshold <= 0.0) return false;
-  double worst = 0.0;
-  for (std::size_t k = 0; k < current.size(); ++k) {
-    const double scale = std::max(std::fabs(current[k]), std::fabs(snapshot[k]));
-    if (scale < 1e-300) continue;
-    worst = std::max(worst, std::fabs(current[k] - snapshot[k]) / scale);
-    if (worst > threshold) return false;
-  }
-  return worst <= threshold;
 }
 
 bool NewtonWorkspace::ilu_fresh_enough() const {
   if (!ilu_.valid()) return false;
-  return values_fresh(a_.values(), factored_values_, opts_.refactor_threshold);
-}
-
-bool NewtonWorkspace::mg_fresh_enough() const {
-  if (!mg_.valid()) return false;
-  return values_fresh(a_.values(), mg_values_, opts_.refactor_threshold);
+  return values_fresh(a_.values(), factored_values_);
 }
 
 IterativeResult NewtonWorkspace::solve(const Vec& rhs) {
@@ -149,59 +153,20 @@ IterativeResult NewtonWorkspace::solve(const Vec& rhs) {
   contract::poison(residual_scratch_);
   metrics().solves.add(1);
 
-  // Top rung: MG-preconditioned Krylov on structured grids. The hierarchy
-  // ages under the same per-entry drift rule as the ILU factors; a stalled
-  // or unbuildable cycle falls through to the ILU rung below (counted).
-  if (opts_.use_multigrid && opts_.mg_nx * opts_.mg_ny == a_.rows()) {
-    if (!mg_fresh_enough()) {
-      if (mg_.update(a_, opts_.mg_nx, opts_.mg_ny)) {
-        mg_values_ = a_.values();
-      } else {
-        mg_values_.clear();
-      }
+  if (!ilu_fresh_enough()) {
+    if (ilu_.factor(a_)) {
+      factored_values_ = a_.values();
+      ++stats_.ilu_factors;
+      metrics().ilu_refactors.add(1);
+    } else {
+      factored_values_.clear();
     }
-    if (mg_.valid()) {
-      // A healthy V-cycle settles these systems in O(10) iterations; cap
-      // well below the Krylov default so a stall drops to ILU quickly
-      // instead of burning the full 8n budget against a bad hierarchy.
-      const std::size_t cap = opts_.max_iter != 0 ? opts_.max_iter : 100;
-      IterativeResult res = opts_.symmetric
-                                ? solve_cg(a_, rhs, opts_.tol, cap, &mg_)
-                                : solve_bicgstab(a_, rhs, opts_.tol, cap, &mg_);
-      metrics().mg_iterations.observe(static_cast<double>(res.iterations));
-      metrics().workspace_bytes.set_max(static_cast<double>(
-          workspace_footprint(a_, ilu_.valid(), factored_values_.size(),
-                              residual_scratch_.size(), mg_.footprint_bytes())));
-      if (res.converged) {
-        ++stats_.mg_solves;
-        metrics().mg_solves.add(1);
-        return res;
-      }
-    }
-    ++stats_.mg_fallbacks;
-    metrics().mg_fallbacks.add(1);
   }
+  const Preconditioner* precond = ilu_.valid() ? &ilu_ : nullptr;
+  metrics().workspace_bytes.set_max(static_cast<double>(workspace_footprint(
+      a_, ilu_.valid(), factored_values_.size(), residual_scratch_.size())));
 
-  const Preconditioner* precond = nullptr;
-  if (opts_.use_ilu) {
-    if (!ilu_fresh_enough()) {
-      if (ilu_.factor(a_)) {
-        factored_values_ = a_.values();
-        ++stats_.ilu_factors;
-        metrics().ilu_refactors.add(1);
-      } else {
-        factored_values_.clear();
-      }
-    }
-    if (ilu_.valid()) precond = &ilu_;
-  }
-  metrics().workspace_bytes.set_max(static_cast<double>(
-      workspace_footprint(a_, ilu_.valid(), factored_values_.size(),
-                          residual_scratch_.size(), mg_.footprint_bytes())));
-
-  IterativeResult res = opts_.symmetric
-                            ? solve_cg(a_, rhs, opts_.tol, opts_.max_iter, precond)
-                            : solve_bicgstab(a_, rhs, opts_.tol, opts_.max_iter, precond);
+  IterativeResult res = solve_bicgstab(a_, rhs, kKrylovTol, 0, precond);
   metrics().iterations.observe(static_cast<double>(res.iterations));
   if (res.converged) {
     ++stats_.krylov_solves;
@@ -212,42 +177,17 @@ IterativeResult NewtonWorkspace::solve(const Vec& rhs) {
   // answer when the true residual is small even if it misses the (very
   // tight) Krylov tolerance.
   const double bnorm = norm2(rhs);
-  if (opts_.use_band) {
-    if (auto band = BandLu::factor(a_)) {
-      Vec x = band->solve(rhs);
-      a_.apply(x, residual_scratch_);
-      axpy(-1.0, rhs, residual_scratch_);
-      const double rel = bnorm > 0.0 ? norm2(residual_scratch_) / bnorm : norm2(residual_scratch_);
-      if (std::isfinite(rel) && rel < 1e-6) {
-        res.x = std::move(x);
-        res.residual = rel;
-        res.converged = true;
-        res.status.reason = SolveReason::kOk;
-        res.status.residual = rel;
-        ++stats_.band_solves;
-        metrics().band_solves.add(1);
-        return res;
-      }
-    }
+  if (auto band = BandLu::factor(a_);
+      band && accept_direct(a_, rhs, bnorm, band->solve(rhs), residual_scratch_, res)) {
+    ++stats_.band_solves;
+    metrics().band_solves.add(1);
+    return res;
   }
-
-  if (opts_.allow_dense_fallback) {
-    if (auto lu = DenseLu::factor(a_.to_dense())) {
-      Vec x = lu->solve(rhs);
-      a_.apply(x, residual_scratch_);
-      axpy(-1.0, rhs, residual_scratch_);
-      const double rel = bnorm > 0.0 ? norm2(residual_scratch_) / bnorm : norm2(residual_scratch_);
-      if (std::isfinite(rel) && rel < 1e-6) {
-        res.x = std::move(x);
-        res.residual = rel;
-        res.converged = true;
-        res.status.reason = SolveReason::kOk;
-        res.status.residual = rel;
-        ++stats_.dense_solves;
-        metrics().dense_fallback.add(1);
-        return res;
-      }
-    }
+  if (auto lu = DenseLu::factor(a_.to_dense());
+      lu && accept_direct(a_, rhs, bnorm, lu->solve(rhs), residual_scratch_, res)) {
+    ++stats_.dense_solves;
+    metrics().dense_fallback.add(1);
+    return res;
   }
   return res;  // genuinely failed; status carries the Krylov diagnosis
 }

@@ -6,63 +6,27 @@
 // point. NewtonWorkspace exploits that: the CSR pattern is built once
 // (from_triplets) and refilled afterwards, the ILU(0) preconditioner is
 // re-factored only when the matrix values drift past a staleness
-// threshold, and the solve ladder runs MG-preconditioned Krylov (opt-in,
-// structured grids) -> ILU-Krylov -> banded direct LU -> (counted,
-// discouraged) dense LU instead of the former dense O(n³) fallback. All
-// decisions are surfaced through obs `solver.linear.*` / `solver.mg.*`
-// metrics and the local WorkspaceStats.
+// threshold, and the solve ladder runs ILU-preconditioned BiCGSTAB ->
+// banded direct LU -> (counted, discouraged) dense LU. All decisions are
+// surfaced through obs `solver.linear.*` metrics and the local
+// WorkspaceStats.
 
 #include <cstddef>
-#include <optional>
+#include <vector>
 
 #include "src/numeric/band.hpp"
-#include "src/numeric/multigrid.hpp"
 #include "src/numeric/precond.hpp"
 #include "src/numeric/solve.hpp"
 #include "src/numeric/sparse.hpp"
 
 namespace stco::numeric {
 
-/// Policy knobs for NewtonWorkspace. The defaults are the fast path; use
-/// legacy_linear_options() to reproduce the pre-workspace behaviour
-/// (Jacobi-only Krylov with a dense fallback) for A/B benchmarking.
-struct LinearSolverOptions {
-  double tol = 1e-12;          ///< relative residual target for the Krylov solve
-  std::size_t max_iter = 0;    ///< 0 = solver default
-  bool symmetric = false;      ///< true -> CG, false -> BiCGSTAB
-  bool use_ilu = true;         ///< precondition with ILU(0) (else Jacobi)
-  bool use_band = true;        ///< banded direct LU as the stall fallback
-  bool reuse_pattern = true;   ///< refill() instead of from_triplets() per assemble
-  bool allow_dense_fallback = true;  ///< last-resort dense LU (counted)
-  /// Re-factor the ILU when any matrix entry's relative drift since the
-  /// last factorization exceeds this (worst per-entry rule: aggregate
-  /// norms would let large Dirichlet entries mask order-of-magnitude
-  /// swings in small stencil couplings). 0 refactors every solve.
-  double refactor_threshold = 0.25;
-  /// Geometric multigrid rung above ILU. Off by default: it only pays on
-  /// structured grids, so callers that know their mesh (the TCAD drivers)
-  /// opt in with the grid shape. mg_nx * mg_ny must equal the system size
-  /// or the rung is skipped.
-  bool use_multigrid = false;
-  std::size_t mg_nx = 0;  ///< structured-grid x dimension (row-major nodes)
-  std::size_t mg_ny = 0;  ///< structured-grid y dimension
-  MultigridOptions mg{};  ///< V-cycle shape knobs
-};
-
-/// Fast-path defaults (ILU + band fallback + pattern reuse).
-LinearSolverOptions fast_linear_options();
-/// The pre-workspace behaviour: Jacobi-preconditioned Krylov, fresh
-/// pattern build per assemble, dense fallback. Kept for bench_solver A/B.
-LinearSolverOptions legacy_linear_options();
-
 /// Per-workspace tallies (process-wide equivalents live in obs).
 struct WorkspaceStats {
   std::size_t pattern_builds = 0;  ///< from_triplets calls (pattern changed)
   std::size_t refills = 0;         ///< cheap value-only refills
   std::size_t ilu_factors = 0;     ///< ILU(0) factorizations
-  std::size_t mg_solves = 0;       ///< solves settled by MG-preconditioned Krylov
-  std::size_t mg_fallbacks = 0;    ///< MG attempts that fell through to the ILU rung
-  std::size_t krylov_solves = 0;   ///< solves settled by CG/BiCGSTAB (ILU/Jacobi rung)
+  std::size_t krylov_solves = 0;   ///< solves settled by ILU-preconditioned BiCGSTAB
   std::size_t band_solves = 0;     ///< solves settled by banded LU
   std::size_t dense_solves = 0;    ///< solves settled by dense LU (should be 0)
 };
@@ -72,38 +36,27 @@ struct WorkspaceStats {
 /// alive across Newton iterations AND continuation/warm-start steps.
 class NewtonWorkspace {
  public:
-  explicit NewtonWorkspace(LinearSolverOptions opts = {}) : opts_(opts) {}
-
   /// Load the system matrix from `b`. First call (or after a shape/pattern
-  /// change, or with reuse_pattern=false) builds the CSR pattern; later
-  /// calls refill values in place.
+  /// change) builds the CSR pattern; later calls refill values in place.
   void assemble(const TripletBuilder& b);
 
-  /// Solve A x = rhs with the configured ladder. The returned status is
-  /// authoritative; `converged` mirrors it for boolean call sites.
+  /// Solve A x = rhs with the ILU -> band -> dense ladder. The returned
+  /// status is authoritative; `converged` mirrors it for boolean call sites.
   [[nodiscard]] IterativeResult solve(const Vec& rhs);
 
   /// Drop pattern + factors (call when the mesh/system shape changes).
   void reset();
 
   const SparseMatrix& matrix() const { return a_; }
-  const LinearSolverOptions& options() const { return opts_; }
   const WorkspaceStats& stats() const { return stats_; }
-  const GmgPreconditioner& multigrid() const { return mg_; }
 
  private:
   bool ilu_fresh_enough() const;
-  bool mg_fresh_enough() const;
-  static bool values_fresh(const std::vector<double>& current,
-                           const std::vector<double>& snapshot, double threshold);
 
-  LinearSolverOptions opts_;
   SparseMatrix a_;
   bool has_pattern_ = false;
   Ilu0 ilu_;
   std::vector<double> factored_values_;  ///< values at last ILU factorization
-  GmgPreconditioner mg_;
-  std::vector<double> mg_values_;  ///< values at last MG hierarchy refresh
   WorkspaceStats stats_;
   Vec residual_scratch_;
 };

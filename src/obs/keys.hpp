@@ -31,7 +31,7 @@ inline constexpr std::array<std::string_view, 11> kKeyPrefixes = {
 
 /// Every canonical metric key (counters, gauges, histograms, progress
 /// tasks, and snapshot set_counter/set_gauge keys). Keep sorted.
-inline constexpr std::array<std::string_view, 89> kMetricKeys = {
+inline constexpr std::array<std::string_view, 82> kMetricKeys = {
     "cells.arcs",
     "cells.characterize.sims",
     "cells.characterize_seconds",
@@ -83,13 +83,6 @@ inline constexpr std::array<std::string_view, 89> kMetricKeys = {
     "solver.linear.pattern_builds",
     "solver.linear.refills",
     "solver.linear.solves",
-    "solver.mg.fallbacks",
-    "solver.mg.hierarchy_builds",
-    "solver.mg.hierarchy_bytes",
-    "solver.mg.iterations",
-    "solver.mg.refills",
-    "solver.mg.solves",
-    "solver.mg.vcycles",
     "solver.recovered",
     "solver.source_retries",
     "solver.workspace_bytes",

@@ -408,18 +408,8 @@ DriftDiffusionSolution solve_drift_diffusion_ladder(const TftDevice& dev,
   numeric::SolveBudget budget(cp.iteration_budget, cp.wall_clock_budget);
   // Two workspaces shared by every continuation stage: the Poisson system
   // on all nodes and the continuity system on the semiconductor sub-mesh.
-  // The continuity unknowns are the semiconductor nodes, which build_mesh
-  // lays out as the first whole rows of the mesh — a structured nx-by-
-  // (ns/nx) grid in sub-index space, so it gets its own MG geometry; a
-  // non-rectangular film degrades to (0, 0), which keeps MG off.
-  std::size_t ns = 0;
-  for (std::size_t i = 0; i < m.num_nodes(); ++i)
-    if (m.node(i).material == mesh::Material::kSemiconductor) ++ns;
-  const std::size_t ns_rows = (m.nx() > 0 && ns % m.nx() == 0) ? ns / m.nx() : 0;
-  numeric::NewtonWorkspace ws_poisson(
-      linear_options_for(opts.linear_solver, m.nx(), m.ny()));
-  numeric::NewtonWorkspace ws_continuity(
-      linear_options_for(opts.linear_solver, ns_rows > 0 ? m.nx() : 0, ns_rows));
+  numeric::NewtonWorkspace ws_poisson;
+  numeric::NewtonWorkspace ws_continuity;
   // Continuation progress: one unit per fixed-bias Gummel solve (direct
   // attempt or continuation stage), shared with the Poisson ladder.
   static obs::ProgressTask& prog = obs::progress("tcad.continuation.stages");

@@ -34,7 +34,6 @@ struct DriftDiffusionOptions {
   /// supplied with carriers and the transistor never turns on.
   double contact_doping = 1e24;
   ContinuationPolicy continuation{};  ///< bias-continuation recovery
-  LinearSolverPolicy linear_solver = LinearSolverPolicy::kFast;
 };
 
 struct DriftDiffusionSolution {

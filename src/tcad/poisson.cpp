@@ -269,11 +269,9 @@ PoissonSolution solve_poisson_ladder(const TftDevice& dev, const Bias& bias,
   const ContinuationPolicy& cp = opts.continuation;
   numeric::SolveBudget budget(cp.iteration_budget, cp.wall_clock_budget);
   // One workspace for the whole ladder: continuation stages share the mesh
-  // geometry, so the Jacobian pattern — and often the ILU factors and the
-  // multigrid hierarchy — carry over between stages. The grid-aware policy
-  // arms the MG rung only on meshes large enough for the V-cycle to pay.
-  numeric::NewtonWorkspace ws(
-      linear_options_for(opts.linear_solver, m.nx(), m.ny()));
+  // geometry, so the Jacobian pattern — and often the ILU factors — carry
+  // over between stages.
+  numeric::NewtonWorkspace ws;
   // Per-row Jacobian scratch shared by every stage (see solve_poisson_once).
   std::vector<numeric::TripletBuilder> row_jac;
   row_jac.reserve(m.ny());

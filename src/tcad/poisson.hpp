@@ -35,7 +35,6 @@ struct PoissonOptions {
   double exp_clamp = 34.0;      ///< Boltzmann exponent clamp
   double temperature_k = kT300;
   ContinuationPolicy continuation{};  ///< bias-continuation recovery
-  LinearSolverPolicy linear_solver = LinearSolverPolicy::kFast;
 };
 
 /// Solve the nonlinear Poisson equation on the mesh built for `dev`/`bias`.

@@ -1,60 +1,10 @@
 #pragma once
-// Shared convergence-recovery and linear-solver policy for the TCAD
-// solvers (nonlinear Poisson, drift-diffusion, quasi-1D transport).
+// Shared convergence-recovery policy for the TCAD solvers (nonlinear
+// Poisson, drift-diffusion, quasi-1D transport).
 
-#include <algorithm>
 #include <cstddef>
 
-#include "src/numeric/status.hpp"
-#include "src/numeric/workspace.hpp"
-
 namespace stco::tcad {
-
-/// Which linear-solver path the Newton loops use.
-enum class LinearSolverPolicy {
-  kFast,    ///< MG-preconditioned Krylov on large structured grids, else ILU(0)
-  kIlu,     ///< the PR-5 fast path without the multigrid rung (bench A/B)
-  kLegacy,  ///< pre-workspace path: Jacobi Krylov + dense fallback (bench A/B)
-};
-
-/// Map the policy to workspace options, overriding the Krylov tolerance.
-/// The fast path asks for an extra digit: ILU(0) converges in O(1)
-/// iterations so it tends to land *just* under the tolerance, whereas the
-/// slow Jacobi path overshoots well past it on its final sweep. Residual
-/// physical quantities (e.g. the equilibrium terminal current, a pure
-/// cancellation) inherit that final-residual gap, so the cheap extra digit
-/// keeps the two paths physically interchangeable.
-inline numeric::LinearSolverOptions linear_options_for(LinearSolverPolicy p,
-                                                       double tol = 1e-12) {
-  numeric::LinearSolverOptions o;
-  if (p == LinearSolverPolicy::kLegacy) {
-    o = numeric::legacy_linear_options();
-    o.tol = tol;
-  } else {
-    o = numeric::fast_linear_options();
-    o.tol = tol * 1e-2;
-  }
-  return o;
-}
-
-/// Grid-aware variant: on kFast, arms the geometric multigrid rung when the
-/// structured grid is large enough for the V-cycle to pay. Below that, the
-/// ILU(0) rung already converges in O(1) iterations and the hierarchy
-/// build/refresh would only add overhead, so small meshes (the test and
-/// dataset defaults) keep their exact PR-5 behaviour. kIlu ignores the grid
-/// entirely — it is the A/B control for benchmarking the MG rung.
-inline numeric::LinearSolverOptions linear_options_for(LinearSolverPolicy p,
-                                                       std::size_t grid_nx,
-                                                       std::size_t grid_ny,
-                                                       double tol = 1e-12) {
-  numeric::LinearSolverOptions o = linear_options_for(p, tol);
-  if (p == LinearSolverPolicy::kFast && std::min(grid_nx, grid_ny) > 32) {
-    o.use_multigrid = true;
-    o.mg_nx = grid_nx;
-    o.mg_ny = grid_ny;
-  }
-  return o;
-}
 
 /// Bias-continuation recovery: when the direct solve at the target bias
 /// fails, the bias step is subdivided adaptively (halving on divergence,

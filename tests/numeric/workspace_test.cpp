@@ -117,25 +117,6 @@ TEST(NewtonWorkspace, SolveWithoutAssembleThrows) {
   EXPECT_THROW(ws.solve({1.0}), std::logic_error);
 }
 
-TEST(NewtonWorkspace, LegacyOptionsStillSolve) {
-  const std::size_t nx = 6, n = nx * nx;
-  TripletBuilder b(n, n);
-  fill_stencil(b, nx, 1.0);
-  NewtonWorkspace ws(legacy_linear_options());
-  ws.assemble(b);
-  Rng rng(21);
-  const Vec rhs = random_vec(n, rng);
-  const auto res = ws.solve(rhs);
-  ASSERT_TRUE(res.converged);
-  const Vec x_dense = solve_dense(ws.matrix().to_dense(), rhs);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(res.x[i], x_dense[i], 1e-8);
-  EXPECT_EQ(ws.stats().ilu_factors, 0u);
-  // Legacy never reuses the pattern: a second assemble is a fresh build.
-  ws.assemble(b);
-  EXPECT_EQ(ws.stats().pattern_builds, 2u);
-  EXPECT_EQ(ws.stats().refills, 0u);
-}
-
 TEST(TridiagWorkspace, MatchesSolveTridiagonal) {
   TridiagWorkspace tws;
   tws.resize(3);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "src/obs/metrics.hpp"
+
 namespace stco::tcad {
 namespace {
 
@@ -109,6 +111,22 @@ TEST(Poisson, PTypeDeviceAccumulatesHolesUnderNegativeGate) {
   ASSERT_TRUE(sol.converged);
   const std::size_t back = mesh.index(6, 3);
   EXPECT_GT(sol.hole_density[back], sol.electron_density[back] * 1e3);
+}
+
+// 48 nodes per side: the ILU(0) -> band ladder must settle every linear
+// solve of a bias sweep on its Krylov or band rung, never on dense LU.
+TEST(Poisson, LargeMeshSweepNeverFallsBackToDense) {
+  TftDevice dev;
+  dev.semi = igzo_params();
+  const auto fallback_before = obs::counter("solver.linear.dense_fallback").value();
+  for (double vg : {0.0, 2.0, 4.0}) {
+    const Bias bias{vg, 1.0, 0.0};
+    const auto mesh = build_mesh(dev, bias, 48, 32, 15);
+    ASSERT_EQ(mesh.ny(), 48u);
+    const auto sol = solve_poisson(dev, bias, mesh);
+    EXPECT_TRUE(sol.converged) << "vg = " << vg;
+  }
+  EXPECT_EQ(obs::counter("solver.linear.dense_fallback").value() - fallback_before, 0u);
 }
 
 }  // namespace

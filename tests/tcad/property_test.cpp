@@ -76,15 +76,18 @@ TEST_P(TcadSweep, TransferCurveMonotone) {
     EXPECT_GE(curve[i].id, curve[i - 1].id * (1.0 - 1e-9));
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, padding
+// included, and that text is part of the registered test name. Static
+// storage zero-fills the padding, so the names are the same on every run;
+// temporaries built on the stack would carry whatever bytes were there.
+constexpr TechBias kTechBiases[] = {
+    {SemiconductorKind::kCnt, 0.2},  {SemiconductorKind::kCnt, 0.8},
+    {SemiconductorKind::kIgzo, 0.2}, {SemiconductorKind::kIgzo, 0.8},
+    {SemiconductorKind::kLtps, 0.2}, {SemiconductorKind::kLtps, 0.8},
+    {SemiconductorKind::kSilicon, 0.5}};
+
 INSTANTIATE_TEST_SUITE_P(
-    TechSweep, TcadSweep,
-    ::testing::Values(TechBias{SemiconductorKind::kCnt, 0.2},
-                      TechBias{SemiconductorKind::kCnt, 0.8},
-                      TechBias{SemiconductorKind::kIgzo, 0.2},
-                      TechBias{SemiconductorKind::kIgzo, 0.8},
-                      TechBias{SemiconductorKind::kLtps, 0.2},
-                      TechBias{SemiconductorKind::kLtps, 0.8},
-                      TechBias{SemiconductorKind::kSilicon, 0.5}),
+    TechSweep, TcadSweep, ::testing::ValuesIn(kTechBiases),
     [](const ::testing::TestParamInfo<TechBias>& info) {
       return to_string(info.param.kind) +
              std::to_string(static_cast<int>(info.param.vg_frac * 10));
