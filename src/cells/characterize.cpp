@@ -66,6 +66,7 @@ bool track(CellCharacterization& out, const TranResult& tr) {
 void merge_counters(CellCharacterization& out, const CellCharacterization& scratch) {
   out.stats.merge(scratch.stats);
   out.failed_sims += scratch.failed_sims;
+  out.incomplete_arcs += scratch.incomplete_arcs;
 }
 
 /// Edge waveform: holds `from` until t_start, ramps to `to` over the slew.
@@ -116,7 +117,8 @@ std::vector<std::map<std::string, bool>> all_states(const std::vector<std::strin
 
 CellCharacterization characterize_combinational(const CellDef& def,
                                                 const CharConfig& cfg,
-                                                const exec::Context& ctx) {
+                                                const exec::Context& ctx,
+                                                MetricSet metrics) {
   CellCharacterization out;
   out.cell = def.name;
   const double u = cfg.time_unit;
@@ -140,7 +142,7 @@ CellCharacterization characterize_combinational(const CellDef& def,
 
   // Leakage: mean over all static states (one task per state; powers are
   // summed in state order so the serial reduction is reproduced exactly).
-  {
+  if (metrics.has(Metric::kLeakagePower)) {
     const auto states = all_states(def.inputs);
     struct LeakJob {
       CellCharacterization scratch;
@@ -164,6 +166,11 @@ CellCharacterization characterize_combinational(const CellDef& def,
   // One task per input pin: its capacitance toggles, sensitized arcs, and
   // non-flip toggles. Each task records into its own scratch; scratches are
   // merged in pin order below.
+  const bool want_cap = metrics.has(Metric::kCapacitance);
+  const bool want_arcs =
+      metrics.any({Metric::kDelay, Metric::kOutputSlew, Metric::kFlipPower});
+  const bool want_nonflip = metrics.has(Metric::kNonFlipPower);
+  if (!want_cap && !want_arcs && !want_nonflip) return out;
   struct PinJob {
     CellCharacterization scratch;
     double cap = 0.0;
@@ -191,7 +198,7 @@ CellCharacterization characterize_combinational(const CellDef& def,
 
     // Input capacitance: charge through the pin source during a toggle (use
     // the sensitized state if any, else the insensitive one).
-    {
+    if (want_cap) {
       const auto side = sensitized ? *sensitized : *insensitive;
       double cmax = 0.0;
       for (bool rising : {true, false}) {
@@ -209,7 +216,7 @@ CellCharacterization characterize_combinational(const CellDef& def,
     }
 
     // Delay / slew / flip power on the sensitized arc, both directions.
-    if (sensitized) {
+    if (want_arcs && sensitized) {
       for (bool rising : {true, false}) {
         auto state0 = *sensitized;
         state0[pin] = !rising;
@@ -237,19 +244,24 @@ CellCharacterization characterize_combinational(const CellDef& def,
         const auto slew = spice::transition_time(
             tr, f.out, 0.0, vdd, y1 ? EdgeDir::kRising : EdgeDir::kFalling, 0.1, 0.9,
             t_edge);
-        if (!out50 || !slew || *out50 > t_back) continue;  // arc incomplete
-        arc.delay = *out50 - in50;
-        arc.output_slew = *slew;
-        const double leak = 0.5 * (static_power(def, cfg, state0, scr) +
-                                   static_power(def, cfg, state1, scr));
-        arc.flip_energy =
-            0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, t_edge - 0.5 * u, t_end);
+        if (!out50 || !slew || *out50 > t_back) {  // output missed the window
+          ++scr.incomplete_arcs;
+          continue;
+        }
+        if (metrics.has(Metric::kDelay)) arc.delay = *out50 - in50;
+        if (metrics.has(Metric::kOutputSlew)) arc.output_slew = *slew;
+        if (metrics.has(Metric::kFlipPower)) {
+          const double leak = 0.5 * (static_power(def, cfg, state0, scr) +
+                                     static_power(def, cfg, state1, scr));
+          arc.flip_energy =
+              0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, t_edge - 0.5 * u, t_end);
+        }
         scr.arcs.push_back(std::move(arc));
       }
     }
 
     // Non-flip power: toggle the pin in a state where the output holds.
-    if (insensitive) {
+    if (want_nonflip && insensitive) {
       for (bool rising : {true, false}) {
         auto state0 = *insensitive;
         state0[pin] = !rising;
@@ -280,7 +292,7 @@ CellCharacterization characterize_combinational(const CellDef& def,
   // Deterministic merge: pin order, preserving the serial arc/non-flip order.
   for (std::size_t pi = 0; pi < def.inputs.size(); ++pi) {
     PinJob& job = pin_jobs[pi];
-    out.input_capacitance[def.inputs[pi]] = job.cap;
+    if (want_cap) out.input_capacitance[def.inputs[pi]] = job.cap;
     for (auto& a : job.scratch.arcs) out.arcs.push_back(std::move(a));
     for (auto& n : job.scratch.nonflip) out.nonflip.push_back(std::move(n));
     merge_counters(out, job.scratch);
@@ -394,7 +406,8 @@ double bisect_constraint(const std::function<bool(double)>& pass, double lo, dou
 }
 
 CellCharacterization characterize_sequential(const CellDef& def, const CharConfig& cfg,
-                                             const exec::Context& ctx) {
+                                             const exec::Context& ctx,
+                                             MetricSet metrics) {
   CellCharacterization out;
   out.cell = def.name;
   const double u = cfg.time_unit;
@@ -405,8 +418,10 @@ CellCharacterization characterize_sequential(const CellDef& def, const CharConfi
   // state deterministically (a raw DC solve of a bistable latch can land on
   // the metastable point, whose crowbar current wildly overstates static
   // power), then the supply current is averaged over a long edge-free tail,
-  // which cancels any residual integrator ringing exactly.
-  {
+  // which cancels any residual integrator ringing exactly. The arcs' flip
+  // energy is measured above this baseline.
+  double leakage = 0.0;
+  if (metrics.any({Metric::kLeakagePower, Metric::kFlipPower})) {
     std::map<std::string, Waveform> waves;
     const double lv_idle = level(pol.clock_idle, cfg);
     const double lv_act = level(!pol.clock_idle, cfg);
@@ -423,147 +438,176 @@ CellCharacterization characterize_sequential(const CellDef& def, const CharConfi
     if (track(out, tr)) {
       const double q =
           spice::integrate_source_charge_smoothed(tr, f.vdd_src, 5 * u, 8 * u);
-      out.leakage_power = vdd * std::max(0.0, -q / (3 * u));
+      leakage = vdd * std::max(0.0, -q / (3 * u));
     }
   }
-
-  const double leakage = out.leakage_power;
+  if (metrics.has(Metric::kLeakagePower)) out.leakage_power = leakage;
 
   // Everything after the leakage run is independent: the two clock-to-Q
   // arcs, the non-flip run, the per-pin capacitances, and the six constraint
-  // bisections. Each becomes one task writing into its own slot; slots are
-  // merged in a fixed order below, reproducing the serial result exactly.
+  // bisections. Each requested one becomes a task writing into its own slot;
+  // slots are merged in list order below, reproducing the serial result
+  // exactly.
+  enum class SeqTask { kArc, kNonFlip, kCapacitance, kSetup, kHold, kPulseWidth };
   struct SeqJob {
+    SeqTask kind;
+    std::string pin;  ///< the toggled pin of a capacitance task
     CellCharacterization scratch;
     std::optional<ArcResult> arc;
     std::optional<NonFlipResult> nf;
     double value = 0.0;  ///< capacitance or constraint time
   };
+  std::vector<SeqJob> slots;
   std::vector<std::function<void(SeqJob&)>> tasks;
+  auto add = [&](SeqTask kind, std::string pin, std::function<void(SeqJob&)> task) {
+    slots.push_back(SeqJob{kind, std::move(pin), {}, {}, {}, 0.0});
+    tasks.push_back(std::move(task));
+  };
 
   // Clock-to-Q arcs (for latches: D-to-Q while transparent) for both
   // captured values.
-  for (bool v : {true, false}) {
-    tasks.push_back([&, v](SeqJob& job) {
-      CellCharacterization& scr = job.scratch;
-      TranResult tr;
-      Fixture f;
-      // For a latch, move D inside the transparent window (opens at 3.5U) so
-      // the arc is D -> Q; for a flip-flop D settles early and the arc is
-      // clock -> Q.
-      const double t_d_arc = pol.is_latch ? 4 * u : 3 * u;
-      if (!capture_ok(def, cfg, v, t_d_arc, -1.0, scr, &tr, &f)) return;
-      ArcResult arc;
-      arc.input_pin = pol.is_latch ? "D" : def.clock_pin;
-      arc.output_rising = v;
-      const double ref50 = pol.is_latch ? (t_d_arc + 0.5 * cfg.input_slew)
-                                        : (5 * u + 0.5 * cfg.input_slew);
-      arc.input_rising = pol.is_latch ? v : !pol.clock_idle;
-      const auto q50 = spice::cross_time(tr, f.out, 0.5 * vdd,
-                                         v ? EdgeDir::kRising : EdgeDir::kFalling,
-                                         ref50 - 0.5 * cfg.input_slew);
-      const auto slew = spice::transition_time(tr, f.out, 0.0, vdd,
-                                               v ? EdgeDir::kRising : EdgeDir::kFalling,
-                                               0.1, 0.9, ref50 - 0.5 * cfg.input_slew);
-      if (!q50 || !slew) return;
-      arc.delay = *q50 - ref50;
-      arc.output_slew = *slew;
-      arc.flip_energy =
-          dynamic_energy(tr, f.vdd_src, vdd, leakage, 2.5 * u, 8 * u);
-      job.arc = std::move(arc);
-    });
+  const bool want_arcs =
+      metrics.any({Metric::kDelay, Metric::kOutputSlew, Metric::kFlipPower});
+  if (want_arcs) {
+    for (bool v : {true, false}) {
+      add(SeqTask::kArc, "", [&, v](SeqJob& job) {
+        CellCharacterization& scr = job.scratch;
+        TranResult tr;
+        Fixture f;
+        // For a latch, move D inside the transparent window (opens at 3.5U) so
+        // the arc is D -> Q; for a flip-flop D settles early and the arc is
+        // clock -> Q.
+        const double t_d_arc = pol.is_latch ? 4 * u : 3 * u;
+        if (!capture_ok(def, cfg, v, t_d_arc, -1.0, scr, &tr, &f)) {
+          if (tr.converged) ++scr.incomplete_arcs;  // Q never captured v
+          return;
+        }
+        ArcResult arc;
+        arc.input_pin = pol.is_latch ? "D" : def.clock_pin;
+        arc.output_rising = v;
+        const double ref50 = pol.is_latch ? (t_d_arc + 0.5 * cfg.input_slew)
+                                          : (5 * u + 0.5 * cfg.input_slew);
+        arc.input_rising = pol.is_latch ? v : !pol.clock_idle;
+        const auto q50 = spice::cross_time(tr, f.out, 0.5 * vdd,
+                                           v ? EdgeDir::kRising : EdgeDir::kFalling,
+                                           ref50 - 0.5 * cfg.input_slew);
+        const auto slew = spice::transition_time(tr, f.out, 0.0, vdd,
+                                                 v ? EdgeDir::kRising : EdgeDir::kFalling,
+                                                 0.1, 0.9, ref50 - 0.5 * cfg.input_slew);
+        if (!q50 || !slew) {  // Q moved before the edge or never finished
+          ++scr.incomplete_arcs;
+          return;
+        }
+        if (metrics.has(Metric::kDelay)) arc.delay = *q50 - ref50;
+        if (metrics.has(Metric::kOutputSlew)) arc.output_slew = *slew;
+        if (metrics.has(Metric::kFlipPower))
+          arc.flip_energy = dynamic_energy(tr, f.vdd_src, vdd, leakage, 2.5 * u, 8 * u);
+        job.arc = std::move(arc);
+      });
+    }
   }
 
   // Non-flip power: pulse D (full cycle) while the clock holds Q opaque;
   // the master churns internally but the output never moves.
-  tasks.push_back([&](SeqJob& job) {
-    std::map<std::string, Waveform> waves;
-    waves.emplace(def.clock_pin, Waveform::dc(level(pol.clock_idle, cfg)));
-    waves.emplace("D", Waveform::pulse(0.0, vdd, 2 * u, cfg.input_slew, 1.5 * u,
-                                       cfg.input_slew));
-    for (const auto& pin : def.inputs)
-      if (!waves.count(pin)) waves.emplace(pin, Waveform::dc(0.0));
-    Fixture f = make_fixture(def, cfg, waves);
-    const auto tr = spice::transient(f.nl, 6 * u, cfg.dt);
-    if (track(job.scratch, tr)) {
-      NonFlipResult nf;
-      nf.input_pin = "D";
-      nf.input_rising = true;
-      const double leak = vdd * std::max(0.0, -tr.i_src.back()[f.vdd_src]);
-      nf.energy = 0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, 1.5 * u, 6 * u);
-      job.nf = std::move(nf);
-    }
-  });
+  if (metrics.has(Metric::kNonFlipPower)) {
+    add(SeqTask::kNonFlip, "", [&](SeqJob& job) {
+      std::map<std::string, Waveform> waves;
+      waves.emplace(def.clock_pin, Waveform::dc(level(pol.clock_idle, cfg)));
+      waves.emplace("D", Waveform::pulse(0.0, vdd, 2 * u, cfg.input_slew, 1.5 * u,
+                                         cfg.input_slew));
+      for (const auto& pin : def.inputs)
+        if (!waves.count(pin)) waves.emplace(pin, Waveform::dc(0.0));
+      Fixture f = make_fixture(def, cfg, waves);
+      const auto tr = spice::transient(f.nl, 6 * u, cfg.dt);
+      if (track(job.scratch, tr)) {
+        NonFlipResult nf;
+        nf.input_pin = "D";
+        nf.input_rising = true;
+        const double leak = vdd * std::max(0.0, -tr.i_src.back()[f.vdd_src]);
+        nf.energy = 0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, 1.5 * u, 6 * u);
+        job.nf = std::move(nf);
+      }
+    });
+  }
 
   // Input capacitance per pin (toggle that pin, others held at idle/low).
-  for (const auto& pin_name : def.inputs) {
-    tasks.push_back([&, pin = pin_name](SeqJob& job) {
-      double cmax = 0.0;
-      for (bool rising : {true, false}) {
-        std::map<std::string, Waveform> waves;
-        for (const auto& p : def.inputs) {
-          if (p == pin) {
-            waves.emplace(p, edge_wave(!rising, rising, 2 * u, cfg));
-          } else if (p == def.clock_pin) {
-            waves.emplace(p, Waveform::dc(level(pol.clock_idle, cfg)));
-          } else {
-            waves.emplace(p, Waveform::dc(0.0));
+  if (metrics.has(Metric::kCapacitance)) {
+    for (const auto& pin_name : def.inputs) {
+      add(SeqTask::kCapacitance, pin_name, [&, pin = pin_name](SeqJob& job) {
+        double cmax = 0.0;
+        for (bool rising : {true, false}) {
+          std::map<std::string, Waveform> waves;
+          for (const auto& p : def.inputs) {
+            if (p == pin) {
+              waves.emplace(p, edge_wave(!rising, rising, 2 * u, cfg));
+            } else if (p == def.clock_pin) {
+              waves.emplace(p, Waveform::dc(level(pol.clock_idle, cfg)));
+            } else {
+              waves.emplace(p, Waveform::dc(0.0));
+            }
           }
+          Fixture f = make_fixture(def, cfg, waves);
+          const auto tr = spice::transient(f.nl, 5 * u, cfg.dt);
+          if (!track(job.scratch, tr)) continue;
+          const double q = spice::integrate_source_charge_smoothed(
+              tr, f.input_src.at(pin), 1.5 * u, 5 * u);
+          cmax = std::max(cmax, std::fabs(q) / vdd);
         }
-        Fixture f = make_fixture(def, cfg, waves);
-        const auto tr = spice::transient(f.nl, 5 * u, cfg.dt);
-        if (!track(job.scratch, tr)) continue;
-        const double q =
-            spice::integrate_source_charge_smoothed(tr, f.input_src.at(pin), 1.5 * u, 5 * u);
-        cmax = std::max(cmax, std::fabs(q) / vdd);
-      }
-      job.value = cmax;
-    });
+        job.value = cmax;
+      });
+    }
   }
 
   // Constraints (worst case over both captured values; max is commutative,
   // so per-task bisections merge deterministically).
   for (bool v : {true, false}) {
     // Setup: D moves to v at t_edge - x; smaller x is harder.
-    tasks.push_back([&, v](SeqJob& job) {
-      job.value = bisect_constraint(
-          [&](double x) { return capture_ok(def, cfg, v, 5 * u - x, -1.0, job.scratch); },
-          cfg.dt, 2.5 * u);
-    });
+    if (metrics.has(Metric::kMinSetup)) {
+      add(SeqTask::kSetup, "", [&, v](SeqJob& job) {
+        job.value = bisect_constraint(
+            [&](double x) {
+              return capture_ok(def, cfg, v, 5 * u - x, -1.0, job.scratch);
+            },
+            cfg.dt, 2.5 * u);
+      });
+    }
     // Hold: D moves *away* from v at t_edge + x. Equivalent trial: capture
     // !v ... instead run with D starting at v and leaving at t_edge + x.
-    tasks.push_back([&, v](SeqJob& job) {
-      job.value = bisect_constraint(
-          [&](double x) {
-            // D at v early, departs at 5U + x; Q must still hold v.
-            const SeqTrial trial = [&] {
-              SeqTrial t = seq_trial(def, cfg, v, 2.8 * u, -1.0);
-              t.waves.erase("D");
-              t.waves.emplace("D", Waveform::pwl(
-                  {{0.0, level(!v, cfg)},
-                   {2.8 * u, level(!v, cfg)},
-                   {2.8 * u + cfg.input_slew, level(v, cfg)},
-                   {5 * u + x, level(v, cfg)},
-                   {5 * u + x + cfg.input_slew, level(!v, cfg)}}));
-              return t;
-            }();
-            Fixture f = make_fixture(def, cfg, trial.waves);
-            const auto tr = spice::transient(f.nl, trial.t_end, cfg.dt);
-            if (!track(job.scratch, tr)) return false;
-            const auto fv = spice::final_voltage(tr, f.out);
-            return fv && std::fabs(*fv - level(v, cfg)) < 0.2 * vdd;
-          },
-          cfg.dt, 2.5 * u);
-    });
+    if (metrics.has(Metric::kMinHold)) {
+      add(SeqTask::kHold, "", [&, v](SeqJob& job) {
+        job.value = bisect_constraint(
+            [&](double x) {
+              // D at v early, departs at 5U + x; Q must still hold v.
+              const SeqTrial trial = [&] {
+                SeqTrial t = seq_trial(def, cfg, v, 2.8 * u, -1.0);
+                t.waves.erase("D");
+                t.waves.emplace("D", Waveform::pwl(
+                    {{0.0, level(!v, cfg)},
+                     {2.8 * u, level(!v, cfg)},
+                     {2.8 * u + cfg.input_slew, level(v, cfg)},
+                     {5 * u + x, level(v, cfg)},
+                     {5 * u + x + cfg.input_slew, level(!v, cfg)}}));
+                return t;
+              }();
+              Fixture f = make_fixture(def, cfg, trial.waves);
+              const auto tr = spice::transient(f.nl, trial.t_end, cfg.dt);
+              if (!track(job.scratch, tr)) return false;
+              const auto fv = spice::final_voltage(tr, f.out);
+              return fv && std::fabs(*fv - level(v, cfg)) < 0.2 * vdd;
+            },
+            cfg.dt, 2.5 * u);
+      });
+    }
     // Minimum clock pulse width (D settles well before the window).
-    tasks.push_back([&, v](SeqJob& job) {
-      job.value = bisect_constraint(
-          [&](double w) { return capture_ok(def, cfg, v, 2.5 * u, w, job.scratch); },
-          2 * cfg.dt, 1.5 * u);
-    });
+    if (metrics.has(Metric::kMinPulseWidth)) {
+      add(SeqTask::kPulseWidth, "", [&, v](SeqJob& job) {
+        job.value = bisect_constraint(
+            [&](double w) { return capture_ok(def, cfg, v, 2.5 * u, w, job.scratch); },
+            2 * cfg.dt, 1.5 * u);
+      });
+    }
   }
 
-  std::vector<SeqJob> slots(tasks.size());
   static obs::ProgressTask& prog_sims = obs::progress("cells.characterize.sims");
   prog_sims.add_work(tasks.size());
   ctx.parallel_for(tasks.size(), [&](std::size_t i) {
@@ -572,34 +616,29 @@ CellCharacterization characterize_sequential(const CellDef& def, const CharConfi
   });
 
   // Deterministic merge in task-list order.
-  std::size_t idx = 0;
-  for (int k = 0; k < 2; ++k, ++idx) {
-    if (slots[idx].arc) out.arcs.push_back(std::move(*slots[idx].arc));
-    merge_counters(out, slots[idx].scratch);
+  for (SeqJob& job : slots) {
+    merge_counters(out, job.scratch);
+    switch (job.kind) {
+      case SeqTask::kArc:
+        if (job.arc) out.arcs.push_back(std::move(*job.arc));
+        break;
+      case SeqTask::kNonFlip:
+        if (job.nf) out.nonflip.push_back(std::move(*job.nf));
+        break;
+      case SeqTask::kCapacitance:
+        out.input_capacitance[job.pin] = job.value;
+        break;
+      case SeqTask::kSetup:
+        out.min_setup = std::max(out.min_setup, job.value);
+        break;
+      case SeqTask::kHold:
+        out.min_hold = std::max(out.min_hold, job.value);
+        break;
+      case SeqTask::kPulseWidth:
+        out.min_pulse_width = std::max(out.min_pulse_width, job.value);
+        break;
+    }
   }
-  if (slots[idx].nf) out.nonflip.push_back(std::move(*slots[idx].nf));
-  merge_counters(out, slots[idx].scratch);
-  ++idx;
-  for (const auto& pin : def.inputs) {
-    out.input_capacitance[pin] = slots[idx].value;
-    merge_counters(out, slots[idx].scratch);
-    ++idx;
-  }
-  double setup = 0.0, hold = 0.0, width = 0.0;
-  for (int k = 0; k < 2; ++k) {
-    setup = std::max(setup, slots[idx].value);
-    merge_counters(out, slots[idx].scratch);
-    ++idx;
-    hold = std::max(hold, slots[idx].value);
-    merge_counters(out, slots[idx].scratch);
-    ++idx;
-    width = std::max(width, slots[idx].value);
-    merge_counters(out, slots[idx].scratch);
-    ++idx;
-  }
-  out.min_setup = setup;
-  out.min_hold = hold;
-  out.min_pulse_width = width;
   return out;
 }
 
@@ -621,7 +660,7 @@ double CellCharacterization::mean_flip_energy() const {
 }
 
 CellCharacterization characterize_cell(const CellDef& cell, const CharConfig& cfg,
-                                       const exec::Context& ctx) {
+                                       const exec::Context& ctx, MetricSet metrics) {
   obs::Span span("cells.characterize_cell");
   span.set_arg(cell.name.c_str());
   static obs::Counter& c_cells = obs::counter("cells.characterized");
@@ -631,8 +670,8 @@ CellCharacterization characterize_cell(const CellDef& cell, const CharConfig& cf
   // stco-lint: allow(nondet-clock-now) characterization-latency histogram
   const auto t0 = std::chrono::steady_clock::now();
   CellCharacterization out = cell.sequential
-                                 ? characterize_sequential(cell, cfg, ctx)
-                                 : characterize_combinational(cell, cfg, ctx);
+                                 ? characterize_sequential(cell, cfg, ctx, metrics)
+                                 : characterize_combinational(cell, cfg, ctx, metrics);
   c_cells.add(1);
   c_arcs.add(out.arcs.size());
   h_latency.observe(

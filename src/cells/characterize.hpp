@@ -6,7 +6,11 @@
 // switch), non-flip power (input switches, output holds), leakage power,
 // and — for sequential cells — minimum setup, minimum hold, and minimum
 // clock pulse width (found by bisection on pass/fail transient captures).
+// A caller that keeps only some of them passes a MetricSet, and the
+// simulations that feed nothing it asked for are not run.
 
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +36,34 @@ enum class Metric : std::size_t {
 };
 inline constexpr std::size_t kNumMetrics = 9;
 const char* to_string(Metric m);
+
+/// A set of metrics to measure. Default-constructed it is empty; all()
+/// holds every metric.
+class MetricSet {
+ public:
+  constexpr MetricSet() = default;
+  constexpr MetricSet(std::initializer_list<Metric> metrics) {
+    for (Metric m : metrics) bits_ |= bit(m);
+  }
+  static constexpr MetricSet all() {
+    MetricSet s;
+    s.bits_ = (1u << kNumMetrics) - 1;
+    return s;
+  }
+  constexpr bool has(Metric m) const { return (bits_ & bit(m)) != 0; }
+  /// True when any of `metrics` is in the set.
+  constexpr bool any(std::initializer_list<Metric> metrics) const {
+    for (Metric m : metrics)
+      if (has(m)) return true;
+    return false;
+  }
+
+ private:
+  static constexpr std::uint32_t bit(Metric m) {
+    return 1u << static_cast<std::size_t>(m);
+  }
+  std::uint32_t bits_ = 0;
+};
 
 /// Characterization operating conditions. Time quantities in seconds.
 struct CharConfig {
@@ -79,6 +111,11 @@ struct CellCharacterization {
   /// degrades the result (a skipped arc, a zeroed measurement) rather than
   /// contaminating it with unconverged waveforms.
   std::size_t failed_sims = 0;
+  /// Arcs whose simulation converged but whose output never made the
+  /// measured transition (no 50% crossing or 10-90% slew in the window, or
+  /// a flip-flop that did not capture). The arc is skipped, as for a failed
+  /// sim, but the cause is the cell at this point, not the solver.
+  std::size_t incomplete_arcs = 0;
 
   /// Worst (max) delay over all arcs; 0 if none.
   double worst_delay() const;
@@ -91,8 +128,16 @@ struct CellCharacterization {
 /// and the six sequential constraint bisections — run as tasks on `ctx`;
 /// results are merged in a fixed index order, so the output is bit-identical
 /// for any thread count (the default serial context included).
+///
+/// Only the simulations that feed a metric in `metrics` run; the fields of
+/// metrics left out stay at their defaults. Every requested field comes
+/// from the same simulations on the same inputs as in a full run, so it is
+/// bit-identical to the full run's value. Flip and non-flip energies
+/// subtract a leakage baseline, so they run the simulations it needs (for a
+/// sequential cell, the leakage run) without reporting leakage itself.
 CellCharacterization characterize_cell(
     const CellDef& cell, const CharConfig& cfg,
-    const exec::Context& ctx = exec::Context::serial());
+    const exec::Context& ctx = exec::Context::serial(),
+    MetricSet metrics = MetricSet::all());
 
 }  // namespace stco::cells

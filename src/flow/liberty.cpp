@@ -76,6 +76,17 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
   const std::size_t nl = opts.load_axis.size();
   const std::size_t per_cell = ns * nl;
 
+  // The merge below reads the arcs' delay and slew at every grid point and
+  // the remaining metrics at the centre point only, so only the centre point
+  // measures them. Hold and pulse width are never read.
+  using cells::Metric;
+  const cells::MetricSet arcs_only{Metric::kDelay, Metric::kOutputSlew};
+  const cells::MetricSet centre{Metric::kDelay,       Metric::kOutputSlew,
+                                Metric::kFlipPower,   Metric::kNonFlipPower,
+                                Metric::kCapacitance, Metric::kLeakagePower,
+                                Metric::kMinSetup};
+  const std::size_t centre_j = (ns / 2) * nl + nl / 2;
+
   // One task per (cell, slew, load) grid point. Each characterization fans
   // its own arc measurements out on the same context (nested regions).
   auto chars = ctx.map(names.size() * per_cell, [&](std::size_t j) {
@@ -87,7 +98,8 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
     cfg.load_cap = opts.load_axis[j % nl];
     cfg.dt = opts.char_dt;
     cfg.time_unit = opts.char_time_unit;
-    return cells::characterize_cell(def, cfg, ctx);
+    return cells::characterize_cell(def, cfg, ctx,
+                                    j % per_cell == centre_j ? centre : arcs_only);
   });
 
   // Grid-ordered merge: identical accumulation order to the serial loops.
@@ -106,9 +118,11 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
         const auto& ch = chars[c * per_cell + si * nl + li];
         lib.robustness.merge(ch.stats);
         lib.dropped_arcs += ch.failed_sims;
-        // A characterization that lost every timing arc to simulation
-        // failures leaves the (slew, load) entry with no measurement at
-        // all — the library cannot honestly serve this cell.
+        lib.incomplete_arcs += ch.incomplete_arcs;
+        // A characterization that lost every timing arc (to simulation
+        // failures or to an output that missed the window) leaves the
+        // (slew, load) entry with no measurement at all — the library
+        // cannot honestly serve this cell.
         if (ch.arcs.empty()) lib.complete = false;
         double wd = 0.0, ws = 0.0;
         for (const auto& arc : ch.arcs) {

@@ -51,11 +51,15 @@ struct TimingLibrary {
   double dff_flip_energy = 0.0;
 
   // Robustness accounting from the build. `complete` goes false when some
-  // cell lost every timing arc to simulation failures or a table entry is
+  // cell lost every timing arc at a grid point (to simulation failures or
+  // to an output that never switched in the window) or a table entry is
   // non-finite — consumers (the STCO loop) treat such libraries as
   // infeasible rather than trusting partially-characterized numbers.
   numeric::RobustnessStats robustness;
   std::size_t dropped_arcs = 0;  ///< sims dead even after the retry ladder
+  /// Arcs skipped although their sim converged: the output missed the
+  /// measurement window (CellCharacterization::incomplete_arcs).
+  std::size_t incomplete_arcs = 0;
   bool complete = true;
 
   const CellTiming& cell(const std::string& name) const;
@@ -75,7 +79,9 @@ struct LibraryBuildOptions {
 /// Characterize through SPICE (slow, reference). Grid points — one task per
 /// (cell, slew, load) — run on `ctx`, and each characterization fans its arc
 /// measurements out on the same context; results merge in grid order, so the
-/// library is bit-identical for any thread count.
+/// library is bit-identical for any thread count. Off-centre grid points
+/// measure the arcs' delay and slew only; the centre point also measures the
+/// scalar metrics the library keeps (leakage, energies, capacitance, setup).
 TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
                                   const LibraryBuildOptions& opts = {},
                                   const exec::Context& ctx = exec::Context::serial());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/obs.hpp"
 #include "src/spice/engine.hpp"
 #include "src/spice/measure.hpp"
 
@@ -150,6 +151,106 @@ TEST(Characterize, MetricNamesComplete) {
   EXPECT_STREQ(to_string(Metric::kDelay), "delay");
   EXPECT_STREQ(to_string(Metric::kMinHold), "min_hold");
   EXPECT_STREQ(to_string(Metric::kNonFlipPower), "non_flip_power");
+}
+
+TEST(MetricSet, DefaultIsEmptyAndAllHoldsEveryMetric) {
+  const MetricSet none;
+  const MetricSet all = MetricSet::all();
+  const MetricSet timing{Metric::kDelay, Metric::kOutputSlew};
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
+    const auto m = static_cast<Metric>(i);
+    EXPECT_FALSE(none.has(m)) << to_string(m);
+    EXPECT_TRUE(all.has(m)) << to_string(m);
+    EXPECT_EQ(timing.has(m), m == Metric::kDelay || m == Metric::kOutputSlew)
+        << to_string(m);
+  }
+  EXPECT_TRUE(timing.any({Metric::kLeakagePower, Metric::kOutputSlew}));
+  EXPECT_FALSE(timing.any({Metric::kLeakagePower, Metric::kMinSetup}));
+}
+
+TEST(CharacterizeScope, DelaySlewRequestKeepsArcsAndRunsFewerSims) {
+  // The full run is repeated here (not taken from the cache) so both runs'
+  // transient counts are measured.
+  const auto& def = find_cell("NAND2");
+  auto& runs = obs::counter("spice.transient.runs");
+  const auto r0 = runs.value();
+  const auto full = characterize_cell(def, fast_config());
+  const auto r1 = runs.value();
+  const auto timing = characterize_cell(def, fast_config(), exec::Context::serial(),
+                                        {Metric::kDelay, Metric::kOutputSlew});
+  const auto r2 = runs.value();
+
+  ASSERT_EQ(timing.arcs.size(), full.arcs.size());
+  for (std::size_t i = 0; i < full.arcs.size(); ++i) {
+    const auto& a = timing.arcs[i];
+    const auto& b = full.arcs[i];
+    EXPECT_EQ(a.input_pin, b.input_pin);
+    EXPECT_EQ(a.input_rising, b.input_rising);
+    EXPECT_EQ(a.output_rising, b.output_rising);
+    EXPECT_EQ(a.side_inputs, b.side_inputs);
+    EXPECT_EQ(a.delay, b.delay);
+    EXPECT_EQ(a.output_slew, b.output_slew);
+    EXPECT_EQ(a.flip_energy, 0.0);
+  }
+  EXPECT_EQ(timing.leakage_power, 0.0);
+  EXPECT_TRUE(timing.input_capacitance.empty());
+  EXPECT_TRUE(timing.nonflip.empty());
+  EXPECT_EQ(timing.min_setup, 0.0);
+  EXPECT_EQ(timing.failed_sims, 0u);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(r2 - r1, 0u);
+    EXPECT_LT(r2 - r1, r1 - r0);
+  }
+}
+
+TEST(CharacterizeScope, DffSetupRequestMatchesFullRun) {
+  const auto& full = charred("DFF");
+  const auto setup = characterize_cell(find_cell("DFF"), fast_config(),
+                                       exec::Context::serial(), {Metric::kMinSetup});
+  EXPECT_GT(setup.min_setup, 0.0);
+  EXPECT_EQ(setup.min_setup, full.min_setup);
+  EXPECT_EQ(setup.min_hold, 0.0);
+  EXPECT_EQ(setup.min_pulse_width, 0.0);
+  EXPECT_EQ(setup.leakage_power, 0.0);
+  EXPECT_TRUE(setup.arcs.empty());
+  EXPECT_TRUE(setup.nonflip.empty());
+  EXPECT_TRUE(setup.input_capacitance.empty());
+}
+
+TEST(CharacterizeScope, ProgressCountsOnlyTasksThatRun) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
+  auto& prog = obs::progress("cells.characterize.sims");
+  const auto done0 = prog.done();
+  const auto total0 = prog.total();
+  const auto& serial = exec::Context::serial();
+  // A combinational cell has no setup time: nothing runs.
+  (void)characterize_cell(find_cell("INV"), fast_config(), serial, {Metric::kMinSetup});
+  EXPECT_EQ(prog.total(), total0);
+  // One task per input pin, then one per setup bisection (both values).
+  (void)characterize_cell(find_cell("NAND2"), fast_config(), serial,
+                          {Metric::kDelay, Metric::kOutputSlew});
+  (void)characterize_cell(find_cell("DFF"), fast_config(), serial, {Metric::kMinSetup});
+  EXPECT_EQ(prog.total() - total0, 4u);
+  EXPECT_EQ(prog.done() - done0, prog.total() - total0);
+}
+
+TEST(CharacterizeScope, ArcsThatMissTheWindowAreCounted) {
+  // At this low-drive corner XOR2's output cannot swing a 150 fF load
+  // before the input's return edge: every arc's simulation converges, yet
+  // none yields a measurable transition.
+  CharConfig cfg;
+  cfg.tech = compact::cnt_tech();
+  cfg.tech.vdd = 2.6;
+  cfg.tech.vth = 0.65;
+  cfg.tech.cox = 1e-4;
+  cfg.input_slew = 20e-9;
+  cfg.load_cap = 150e-15;
+  cfg.dt = 3e-9;
+  const auto r = characterize_cell(find_cell("XOR2"), cfg, exec::Context::serial(),
+                                   {Metric::kDelay, Metric::kOutputSlew});
+  EXPECT_TRUE(r.arcs.empty());
+  EXPECT_EQ(r.failed_sims, 0u);
+  EXPECT_EQ(r.incomplete_arcs, 4u);  // two pins, both edges
 }
 
 }  // namespace

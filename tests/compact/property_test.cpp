@@ -121,18 +121,19 @@ TEST_P(CompactModelProperty, EffectiveMobilityFollowsEq1) {
   }
 }
 
+// gtest prints a ModelCase (it has no operator<<) as its raw bytes, padding
+// included, and that text is part of the registered test name. Static
+// storage zero-fills the padding, so the names are the same on every run;
+// temporaries built on the stack would carry whatever bytes were there.
+constexpr ModelCase kModelCases[] = {
+    {TftType::kNType, 0.5, 0.0, 3.0},  {TftType::kNType, 0.8, 0.25, 3.0},
+    {TftType::kNType, 1.2, 0.45, 5.0}, {TftType::kNType, 1.6, 0.14, 5.0},
+    {TftType::kNType, 0.4, 0.9, 2.0},  {TftType::kPType, 0.5, 0.0, 3.0},
+    {TftType::kPType, 0.8, 0.28, 3.0}, {TftType::kPType, 1.1, 0.45, 5.0},
+    {TftType::kPType, 1.9, 0.42, 6.0}};
+
 INSTANTIATE_TEST_SUITE_P(
-    ParameterSweep, CompactModelProperty,
-    ::testing::Values(
-        ModelCase{TftType::kNType, 0.5, 0.0, 3.0},
-        ModelCase{TftType::kNType, 0.8, 0.25, 3.0},
-        ModelCase{TftType::kNType, 1.2, 0.45, 5.0},
-        ModelCase{TftType::kNType, 1.6, 0.14, 5.0},
-        ModelCase{TftType::kNType, 0.4, 0.9, 2.0},
-        ModelCase{TftType::kPType, 0.5, 0.0, 3.0},
-        ModelCase{TftType::kPType, 0.8, 0.28, 3.0},
-        ModelCase{TftType::kPType, 1.1, 0.45, 5.0},
-        ModelCase{TftType::kPType, 1.9, 0.42, 6.0}),
+    ParameterSweep, CompactModelProperty, ::testing::ValuesIn(kModelCases),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
       const auto& c = info.param;
       return std::string(c.type == TftType::kNType ? "N" : "P") + "_vth" +

@@ -1,0 +1,84 @@
+#include "src/flow/liberty.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+
+namespace stco::flow {
+namespace {
+
+/// The SPICE library measures only what it keeps (arcs everywhere, the
+/// scalar metrics at the centre point), so every number it holds must equal
+/// what a full characterization at the same grid point gives, bit for bit.
+TEST(LibraryScope, SpiceLibraryEqualsFullCharacterization) {
+  LibraryBuildOptions opts;
+  opts.cell_names = {"INV", "NAND2", "XOR2", "DFF"};
+  opts.slew_axis = {10e-9, 40e-9};
+  opts.load_axis = {20e-15, 100e-15};
+  const auto tech = compact::cnt_tech();
+  const auto lib = build_library_spice(tech, opts);
+  ASSERT_TRUE(lib.complete);
+  EXPECT_EQ(lib.incomplete_arcs, 0u);
+
+  const std::size_t sc = opts.slew_axis.size() / 2;
+  const std::size_t lc = opts.load_axis.size() / 2;
+  for (const auto& name : opts.cell_names) {
+    const auto& def = cells::find_cell(name);
+    const auto& ct = lib.cell(name);
+    for (std::size_t si = 0; si < opts.slew_axis.size(); ++si) {
+      for (std::size_t li = 0; li < opts.load_axis.size(); ++li) {
+        cells::CharConfig cfg;
+        cfg.tech = tech;
+        cfg.sizing = opts.sizing;
+        cfg.input_slew = opts.slew_axis[si];
+        cfg.load_cap = opts.load_axis[li];
+        cfg.dt = opts.char_dt;
+        cfg.time_unit = opts.char_time_unit;
+        const auto ch = cells::characterize_cell(def, cfg);
+        ASSERT_FALSE(ch.arcs.empty()) << name;
+        double wd = 0.0, ws = 0.0;
+        for (const auto& arc : ch.arcs) {
+          wd = std::max(wd, arc.delay);
+          ws = std::max(ws, arc.output_slew);
+        }
+        EXPECT_EQ(ct.delay(si, li), wd) << name << " " << si << "," << li;
+        EXPECT_EQ(ct.out_slew(si, li), ws) << name << " " << si << "," << li;
+        if (si != sc || li != lc) continue;
+
+        EXPECT_EQ(ct.leakage, ch.leakage_power) << name;
+        EXPECT_EQ(ct.flip_energy, ch.mean_flip_energy()) << name;
+        double nonflip = 0.0;
+        for (const auto& nf : ch.nonflip) nonflip += nf.energy;
+        if (!ch.nonflip.empty()) nonflip /= static_cast<double>(ch.nonflip.size());
+        EXPECT_EQ(ct.nonflip_energy, nonflip) << name;
+        double cap = 0.0;
+        for (const auto& [pin, c] : ch.input_capacitance) cap = std::max(cap, c);
+        EXPECT_EQ(ct.input_cap, cap) << name;
+        if (def.sequential) {
+          EXPECT_GT(lib.dff_setup, 0.0);
+          EXPECT_EQ(lib.dff_setup, ch.min_setup);
+          EXPECT_EQ(lib.dff_clk2q, wd);
+        }
+      }
+    }
+  }
+}
+
+/// A library that loses every arc of a cell at some grid point is
+/// incomplete; when no simulation failed, the lost arcs are counted as
+/// incomplete rather than dropped, so the infeasibility has a reason.
+TEST(LibraryScope, ArcsMissingTheWindowExplainAnIncompleteLibrary) {
+  LibraryBuildOptions opts;  // default 3x3 axes, loads up to 150 fF
+  opts.cell_names = {"XOR2"};
+  compact::TechnologyPoint tech = compact::cnt_tech();
+  tech.vdd = 2.6;
+  tech.vth = 0.65;
+  tech.cox = 1e-4;
+  const auto lib = build_library_spice(tech, opts);
+  EXPECT_FALSE(lib.complete);
+  EXPECT_EQ(lib.dropped_arcs, 0u);
+  EXPECT_GT(lib.incomplete_arcs, 0u);
+}
+
+}  // namespace
+}  // namespace stco::flow

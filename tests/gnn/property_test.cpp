@@ -116,11 +116,16 @@ TEST_P(ArchSweep, ParameterCountMatchesAnalyticFormula) {
   EXPECT_EQ(model.num_parameters(), expected);
 }
 
+// gtest prints an ArchCase (it has no operator<<) as its raw bytes, padding
+// included, and that text is part of the registered test name. Static
+// storage zero-fills the padding, so the names are the same on every run;
+// temporaries built on the stack would carry whatever bytes were there.
+constexpr ArchCase kArchCases[] = {{1, 1, 8, false},   {3, 1, 8, true},
+                                   {3, 2, 8, false},   {6, 2, 16, true},
+                                   {12, 2, 16, false}, {2, 4, 16, true}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Architectures, ArchSweep,
-    ::testing::Values(ArchCase{1, 1, 8, false}, ArchCase{3, 1, 8, true},
-                      ArchCase{3, 2, 8, false}, ArchCase{6, 2, 16, true},
-                      ArchCase{12, 2, 16, false}, ArchCase{2, 4, 16, true}),
+    Architectures, ArchSweep, ::testing::ValuesIn(kArchCases),
     [](const ::testing::TestParamInfo<ArchCase>& info) {
       const auto& c = info.param;
       return "L" + std::to_string(c.layers) + "H" + std::to_string(c.heads) + "W" +
