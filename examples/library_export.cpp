@@ -1,7 +1,6 @@
 // Example: the EDA-facing surfaces of the library — characterize a cell
 // library, export it as Liberty (.lib), dump a benchmark netlist as
-// structural Verilog, inspect an inverter's small-signal response, and
-// quantify process-variation spread with Monte Carlo.
+// structural Verilog, and quantify process-variation spread with Monte Carlo.
 
 #include <cstdio>
 
@@ -9,7 +8,6 @@
 #include "src/flow/benchmarks.hpp"
 #include "src/flow/liberty_writer.hpp"
 #include "src/flow/netlist_io.hpp"
-#include "src/spice/ac.hpp"
 
 int main() {
   using namespace stco;
@@ -31,22 +29,7 @@ int main() {
   flow::write_verilog_file("/tmp/s298.v", s298);
   printf("\nwrote /tmp/s298.v\n%s", flow::netlist_stats(s298).c_str());
 
-  // 3. Small-signal response of a biased inverter.
-  spice::Netlist nl;
-  const auto vdd = nl.node("vdd"), in = nl.node("in"), out = nl.node("out");
-  nl.add_vsource("VDD", vdd, spice::kGround, spice::Waveform::dc(tech.vdd));
-  nl.add_vsource("VIN", in, spice::kGround, spice::Waveform::dc(0.5 * tech.vdd));
-  nl.add_tft("MP", out, in, vdd, compact::make_pfet(tech, 16e-6, 2e-6));
-  nl.add_tft("MN", out, in, spice::kGround, compact::make_nfet(tech, 8e-6, 2e-6));
-  nl.add_capacitor("CL", out, spice::kGround, 100e-15);
-  const auto ac = spice::ac_analysis(nl, "VIN", spice::log_frequencies(1e2, 1e8, 25));
-  printf("\ninverter AC response (biased at VDD/2):\n");
-  for (std::size_t k = 0; k < ac.frequency.size(); k += 6)
-    printf("  f = %9.0f Hz  gain %6.2f dB  phase %6.1f deg\n", ac.frequency[k],
-           ac.gain_db(k, out), ac.phase(k, out) * 57.2958);
-  printf("  -3 dB bandwidth: %.0f kHz\n", spice::bandwidth_3db(ac, out) / 1e3);
-
-  // 4. Monte Carlo process variation of the on-current.
+  // 3. Monte Carlo process variation of the on-current.
   const auto nominal = compact::make_nfet(tech, 8e-6, 2e-6);
   const auto mc = compact::on_current_spread(nominal, {}, tech.vdd, tech.vdd, 1000);
   printf("\nNFET on-current under process variation (1000 samples):\n");

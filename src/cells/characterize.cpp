@@ -140,28 +140,45 @@ CellCharacterization characterize_combinational(const CellDef& def,
 
   static obs::ProgressTask& prog_sims = obs::progress("cells.characterize.sims");
 
-  // Leakage: mean over all static states (one task per state; powers are
-  // summed in state order so the serial reduction is reproduced exactly).
-  if (metrics.has(Metric::kLeakagePower)) {
+  // Static power of every input state, solved once (one task per state):
+  // leakage is its mean, and the flip and non-flip energies subtract the
+  // powers of the states they toggle between. Powers are summed in state
+  // order so the serial reduction is reproduced exactly.
+  std::vector<double> state_power;
+  if (metrics.any({Metric::kLeakagePower, Metric::kFlipPower, Metric::kNonFlipPower})) {
     const auto states = all_states(def.inputs);
-    struct LeakJob {
+    struct StateJob {
       CellCharacterization scratch;
       double power = 0.0;
     };
     prog_sims.add_work(states.size());
     auto jobs = ctx.map(states.size(), [&](std::size_t i) {
-      LeakJob j;
+      StateJob j;
       j.power = static_power(def, cfg, states[i], j.scratch);
       prog_sims.advance(1);
       return j;
     });
     double sum = 0.0;
     for (const auto& j : jobs) {
+      state_power.push_back(j.power);
       sum += j.power;
       merge_counters(out, j.scratch);
     }
-    out.leakage_power = sum / static_cast<double>(states.size());
+    if (metrics.has(Metric::kLeakagePower))
+      out.leakage_power = sum / static_cast<double>(states.size());
   }
+  // Mean static power of the two states a toggle moves between; the state
+  // index follows all_states' bit order (bit i = def.inputs[i]).
+  auto toggle_leakage = [&](const std::map<std::string, bool>& s0,
+                            const std::map<std::string, bool>& s1) {
+    auto index = [&](const std::map<std::string, bool>& s) {
+      std::size_t mask = 0;
+      for (std::size_t i = 0; i < def.inputs.size(); ++i)
+        if (s.at(def.inputs[i])) mask |= std::size_t{1} << i;
+      return mask;
+    };
+    return 0.5 * (state_power[index(s0)] + state_power[index(s1)]);
+  };
 
   // One task per input pin: its capacitance toggles, sensitized arcs, and
   // non-flip toggles. Each task records into its own scratch; scratches are
@@ -251,10 +268,9 @@ CellCharacterization characterize_combinational(const CellDef& def,
         if (metrics.has(Metric::kDelay)) arc.delay = *out50 - in50;
         if (metrics.has(Metric::kOutputSlew)) arc.output_slew = *slew;
         if (metrics.has(Metric::kFlipPower)) {
-          const double leak = 0.5 * (static_power(def, cfg, state0, scr) +
-                                     static_power(def, cfg, state1, scr));
-          arc.flip_energy =
-              0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, t_edge - 0.5 * u, t_end);
+          arc.flip_energy = 0.5 * dynamic_energy(tr, f.vdd_src, vdd,
+                                                 toggle_leakage(state0, state1),
+                                                 t_edge - 0.5 * u, t_end);
         }
         scr.arcs.push_back(std::move(arc));
       }
@@ -278,10 +294,8 @@ CellCharacterization characterize_combinational(const CellDef& def,
         nf.input_pin = pin;
         nf.input_rising = rising;
         nf.side_inputs = *insensitive;
-        const double leak = 0.5 * (static_power(def, cfg, state0, scr) +
-                                   static_power(def, cfg, state1, scr));
-        nf.energy =
-            0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, t_edge - 0.5 * u, t_end);
+        nf.energy = 0.5 * dynamic_energy(tr, f.vdd_src, vdd, toggle_leakage(state0, state1),
+                                         t_edge - 0.5 * u, t_end);
         scr.nonflip.push_back(std::move(nf));
       }
     }

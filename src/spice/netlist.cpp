@@ -47,10 +47,4 @@ void Netlist::add_tft(std::string name, NodeId drain, NodeId gate, NodeId source
   tfts_.push_back({std::move(name), drain, gate, source, params, c_overlap});
 }
 
-std::size_t Netlist::vsource_index(const std::string& name) const {
-  for (std::size_t i = 0; i < vsources_.size(); ++i)
-    if (vsources_[i].name == name) return i;
-  throw std::invalid_argument("vsource_index: no such source: " + name);
-}
-
 }  // namespace stco::spice

@@ -71,9 +71,6 @@ class Netlist {
   const std::vector<ISource>& isources() const { return isources_; }
   const std::vector<Tft>& tfts() const { return tfts_; }
 
-  /// Index of a voltage source by name; throws if absent.
-  std::size_t vsource_index(const std::string& name) const;
-
  private:
   std::vector<std::string> names_{"0"};
   std::unordered_map<std::string, NodeId> by_name_{{"0", 0}, {"gnd", 0}};

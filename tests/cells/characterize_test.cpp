@@ -234,6 +234,20 @@ TEST(CharacterizeScope, ProgressCountsOnlyTasksThatRun) {
   EXPECT_EQ(prog.done() - done0, prog.total() - total0);
 }
 
+TEST(CharacterizeScope, EachStaticStateIsSolvedOnce) {
+  // Leakage, flip and non-flip energy all read the powers of the 2^k input
+  // states; a full characterization solves each of them exactly once.
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
+  const auto& def = find_cell("NAND2");
+  auto& solves = obs::counter("spice.dc.solves");
+  const auto s0 = solves.value();
+  const auto r = characterize_cell(def, fast_config());
+  EXPECT_EQ(solves.value() - s0, 1u << def.inputs.size());
+  EXPECT_GE(r.arcs.size(), 4u);
+  EXPECT_GE(r.nonflip.size(), 4u);
+  EXPECT_GT(r.leakage_power, 0.0);
+}
+
 TEST(CharacterizeScope, ArcsThatMissTheWindowAreCounted) {
   // At this low-drive corner XOR2's output cannot swing a 150 fF load
   // before the input's return edge: every arc's simulation converges, yet

@@ -128,8 +128,14 @@ INSTANTIATE_TEST_SUITE_P(
     Architectures, ArchSweep, ::testing::ValuesIn(kArchCases),
     [](const ::testing::TestParamInfo<ArchCase>& info) {
       const auto& c = info.param;
-      return "L" + std::to_string(c.layers) + "H" + std::to_string(c.heads) + "W" +
-             std::to_string(c.hidden) + (c.graph_regression ? "graph" : "node");
+      std::string name = "L";
+      name += std::to_string(c.layers);
+      name += 'H';
+      name += std::to_string(c.heads);
+      name += 'W';
+      name += std::to_string(c.hidden);
+      name += c.graph_regression ? "graph" : "node";
+      return name;
     });
 
 }  // namespace

@@ -41,7 +41,6 @@ TEST(Netlist, ValidationErrors) {
   EXPECT_THROW(nl.add_resistor("r", a, 99, 100.0), std::out_of_range);
   EXPECT_THROW(nl.add_resistor("r", a, kGround, -5.0), std::invalid_argument);
   EXPECT_THROW(nl.add_capacitor("c", a, kGround, -1e-12), std::invalid_argument);
-  EXPECT_THROW(nl.vsource_index("nope"), std::invalid_argument);
 }
 
 TEST(DcOp, ResistorDivider) {

@@ -112,7 +112,9 @@ std::vector<ScannedLine> scan(const std::string& text) {
                 (i < 2 || !is_word_char(line[i - 2]))) {
               const std::size_t open = line.find('(', i + 1);
               if (open != std::string::npos) {
-                raw_delim = ")" + line.substr(i + 1, open - i - 1) + "\"";
+                raw_delim.assign(1, ')');
+                raw_delim.append(line, i + 1, open - i - 1);
+                raw_delim += '"';
                 mode = Mode::kRawString;
                 string_col = i;
                 current_string.clear();
