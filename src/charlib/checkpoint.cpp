@@ -1,44 +1,56 @@
 #include "src/charlib/checkpoint.hpp"
 
-#include <stdexcept>
-
 #include "src/gnn/serialize.hpp"
 #include "src/obs/obs.hpp"
 #include "src/persist/artifacts.hpp"
-#include "src/persist/format.hpp"
 
 namespace stco::charlib {
 
 namespace {
 
-constexpr std::uint32_t kShardSchema = 1;
+struct ShardCodec {
+  using Sample = CharSample;
+  using Stats = DatasetStats;
+  static constexpr const char* kName = "charlib";
+  static constexpr std::uint32_t kArtifact = persist::kind::kCharlibShard;
+  static constexpr const char* kProgress = "charlib.dataset.corners";
+  static constexpr bool kProgressPerSample = false;  // one unit per corner
 
-void put_sample(persist::PayloadWriter& w, const CharSample& s) {
-  gnn::put_graph(w, s.graph);
-  w.put_u32(static_cast<std::uint32_t>(s.metric));
-  w.put_f64(s.target);
-  w.put_str(s.cell);
-}
+  static void put(persist::PayloadWriter& w, const CharSample& s) {
+    gnn::put_graph(w, s.graph);
+    w.put_u32(static_cast<std::uint32_t>(s.metric));
+    w.put_f64(s.target);
+    w.put_str(s.cell);
+  }
 
-CharSample get_sample(persist::PayloadReader& r) {
-  CharSample s;
-  s.graph = gnn::get_graph(r);
-  const std::uint32_t metric = r.get_u32();
-  if (metric >= cells::kNumMetrics)
-    throw persist::PayloadError("charlib: metric out of range");
-  s.metric = static_cast<cells::Metric>(metric);
-  s.target = r.get_f64();
-  s.cell = r.get_str();
-  return s;
-}
+  static CharSample get(persist::PayloadReader& r) {
+    CharSample s;
+    s.graph = gnn::get_graph(r);
+    const std::uint32_t metric = r.get_u32();
+    if (metric >= cells::kNumMetrics)
+      throw persist::PayloadError("charlib: metric out of range");
+    s.metric = static_cast<cells::Metric>(metric);
+    s.target = r.get_f64();
+    s.cell = r.get_str();
+    return s;
+  }
 
-std::string shard_file(std::uint32_t index) {
-  return "charlib-shard-" + std::to_string(index) + ".stca";
-}
+  static void put_stats(persist::PayloadWriter& w, const DatasetStats& s) {
+    w.put_u64(s.characterizations);
+    w.put_u64(s.degraded_characterizations);
+    w.put_u64(s.failed_sims);
+    persist::put_robustness(w, s.solver);
+  }
 
-persist::Storage& storage_of(const CheckpointOptions& ckpt) {
-  return ckpt.storage ? *ckpt.storage : persist::default_storage();
-}
+  static DatasetStats get_stats(persist::PayloadReader& r) {
+    DatasetStats s;
+    s.characterizations = r.get_u64();
+    s.degraded_characterizations = r.get_u64();
+    s.failed_sims = r.get_u64();
+    s.solver = persist::get_robustness(r);
+    return s;
+  }
+};
 
 }  // namespace
 
@@ -66,150 +78,32 @@ std::uint64_t charlib_dataset_fingerprint(
   return fp.value();
 }
 
-void save_charlib_shard(persist::Storage& storage, const std::string& path,
-                        const std::vector<CharSample>& samples,
-                        const DatasetStats& stats) {
-  persist::PayloadWriter w;
-  w.put_u64(samples.size());
-  for (const CharSample& s : samples) put_sample(w, s);
-  w.put_u64(stats.characterizations);
-  w.put_u64(stats.degraded_characterizations);
-  w.put_u64(stats.failed_sims);
-  persist::put_robustness(w, stats.solver);
-  persist::write_artifact(storage, path, persist::kind::kCharlibShard, kShardSchema,
-                          w.bytes());
-}
-
 CharlibShardLoad load_charlib_shard(persist::Storage& storage,
                                     const std::string& path) {
-  CharlibShardLoad out;
-  persist::ArtifactData art =
-      persist::read_artifact(storage, path, persist::kind::kCharlibShard);
-  out.status = art.status;
-  if (!persist::ok(art.status)) return out;
-  if (art.schema != kShardSchema) {
-    persist::count_corrupt_artifact();
-    out.status = persist::LoadStatus::kBadVersion;
-    return out;
-  }
-  try {
-    persist::PayloadReader r(art.payload);
-    const std::uint64_t n = r.get_u64();
-    for (std::uint64_t i = 0; i < n; ++i) out.samples.push_back(get_sample(r));
-    out.stats.characterizations = r.get_u64();
-    out.stats.degraded_characterizations = r.get_u64();
-    out.stats.failed_sims = r.get_u64();
-    out.stats.solver = persist::get_robustness(r);
-  } catch (const persist::PayloadError&) {
-    persist::count_corrupt_artifact();
-    out = CharlibShardLoad{};
-    out.status = persist::LoadStatus::kBadPayload;
-  }
-  return out;
+  return persist::load_shard<ShardCodec>(storage, path);
 }
 
 std::vector<CharSample> build_charlib_dataset_resumable(
     const std::vector<compact::TechnologyPoint>& corners, const DatasetOptions& opts,
     const CheckpointOptions& ckpt, const exec::Context& ctx) {
   obs::Span span("charlib.build_dataset_resumable");
-  static obs::Counter& c_loaded = obs::counter("persist.shards_loaded");
-  static obs::Counter& c_built = obs::counter("persist.shards_built");
-  if (ckpt.dir.empty())
-    throw std::invalid_argument("build_charlib_dataset_resumable: empty dir");
-  if (ckpt.shard_size == 0)
-    throw std::invalid_argument("build_charlib_dataset_resumable: shard_size 0");
-
-  persist::Storage& storage = storage_of(ckpt);
-  storage.create_directories(ckpt.dir);
-  const std::string manifest_path = ckpt.dir + "/manifest.stca";
-  const std::uint64_t fp = charlib_dataset_fingerprint(corners, opts, ckpt.shard_size);
-  const std::uint32_t num_shards = static_cast<std::uint32_t>(
-      (corners.size() + ckpt.shard_size - 1) / ckpt.shard_size);
-
-  persist::Manifest manifest;
-  const persist::LoadStatus ms = persist::load_manifest(storage, manifest_path, manifest);
-  if (!persist::ok(ms) || manifest.dataset_kind != "charlib" ||
-      manifest.fingerprint != fp || manifest.num_shards != num_shards) {
-    // Missing, corrupt, or from a different configuration: start fresh.
-    manifest = persist::Manifest{};
-    manifest.dataset_kind = "charlib";
-    manifest.fingerprint = fp;
-    manifest.shard_size = ckpt.shard_size;
-    manifest.num_shards = num_shards;
-    manifest.total_items = corners.size();
-  }
-
-  std::vector<CharSample> out;
-  DatasetStats total;
-  for (std::uint32_t si = 0; si < num_shards; ++si) {
-    const std::size_t begin = static_cast<std::size_t>(si) * ckpt.shard_size;
-    const std::size_t end = std::min(begin + ckpt.shard_size, corners.size());
-    const std::string path = ckpt.dir + "/" + shard_file(si);
-
-    if (manifest.find(si) != nullptr) {
-      CharlibShardLoad loaded = load_charlib_shard(storage, path);
-      if (persist::ok(loaded.status)) {
-        c_loaded.add(1);
-        // Loaded shards count into the same cumulative progress task the
-        // inner builder advances for rebuilt ones, so a resumed run's
-        // done/total covers the whole dataset.
-        static obs::ProgressTask& prog = obs::progress("charlib.dataset.corners");
-        prog.add_work(end - begin);
-        prog.advance(end - begin);
-        out.insert(out.end(), std::make_move_iterator(loaded.samples.begin()),
-                   std::make_move_iterator(loaded.samples.end()));
-        total.characterizations += loaded.stats.characterizations;
-        total.degraded_characterizations += loaded.stats.degraded_characterizations;
-        total.failed_sims += loaded.stats.failed_sims;
-        total.solver.merge(loaded.stats.solver);
-        continue;
-      }
-      // Recorded but unreadable (corrupt / truncated / version skew):
-      // forget it and rebuild below.
-      auto& done = manifest.completed;
-      for (auto it = done.begin(); it != done.end(); ++it) {
-        if (it->index == si) {
-          done.erase(it);
-          break;
-        }
-      }
-    }
-
+  const auto build_chunk = [&](const persist::ShardRange& range, DatasetStats& stats) {
     const std::vector<compact::TechnologyPoint> chunk(
-        corners.begin() + static_cast<std::ptrdiff_t>(begin),
-        corners.begin() + static_cast<std::ptrdiff_t>(end));
+        corners.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        corners.begin() + static_cast<std::ptrdiff_t>(range.end));
     DatasetOptions shard_opts = opts;
-    DatasetStats shard_stats;
-    shard_opts.stats = &shard_stats;
+    shard_opts.stats = &stats;
     if (opts.on_progress) {
-      shard_opts.on_progress = [&opts, begin, &corners](std::size_t done,
-                                                        std::size_t /*n*/) {
+      shard_opts.on_progress = [&opts, &corners, begin = range.begin](
+                                   std::size_t done, std::size_t /*n*/) {
         opts.on_progress(begin + done, corners.size());
       };
     }
-    std::vector<CharSample> samples = build_charlib_dataset(chunk, shard_opts, ctx);
-
-    save_charlib_shard(storage, path, samples, shard_stats);
-    manifest.completed.push_back(
-        {si, static_cast<std::uint64_t>(end - begin), shard_file(si)});
-    persist::save_manifest(storage, manifest_path, manifest);
-    c_built.add(1);
-
-    out.insert(out.end(), std::make_move_iterator(samples.begin()),
-               std::make_move_iterator(samples.end()));
-    total.characterizations += shard_stats.characterizations;
-    total.degraded_characterizations += shard_stats.degraded_characterizations;
-    total.failed_sims += shard_stats.failed_sims;
-    total.solver.merge(shard_stats.solver);
-  }
-
-  if (opts.stats) {
-    opts.stats->characterizations += total.characterizations;
-    opts.stats->degraded_characterizations += total.degraded_characterizations;
-    opts.stats->failed_sims += total.failed_sims;
-    opts.stats->solver.merge(total.solver);
-  }
-  return out;
+    return build_charlib_dataset(chunk, shard_opts, ctx);
+  };
+  return persist::build_sharded<ShardCodec>(
+      ckpt, charlib_dataset_fingerprint(corners, opts, ckpt.shard_size), corners.size(),
+      build_chunk, opts.stats);
 }
 
 }  // namespace stco::charlib

@@ -1,14 +1,14 @@
 #pragma once
 // Resumable, sharded charlib dataset generation.
 //
-// The corner sweep is split into shards of consecutive corners; each
-// completed shard is written as a checksummed artifact and recorded in an
-// atomically rewritten manifest. A rerun after an interruption (or crash)
-// loads the finished shards, verifies them, and characterizes only what is
-// missing — and because characterization is deterministic per corner and
-// merged in grid order, the resumed dataset is bit-identical to an
-// uninterrupted run. A shard or manifest that fails validation is simply
-// rebuilt (counted under persist.corrupt_artifacts), never trusted.
+// The corner sweep is split into shards of consecutive corners and run
+// through persist::build_sharded: each completed shard is a checksummed
+// artifact recorded in an atomically rewritten manifest, and a rerun after
+// an interruption (or crash) characterizes only what is missing. Because
+// characterization is deterministic per corner and merged in grid order,
+// the resumed dataset is bit-identical to an uninterrupted run. A shard or
+// manifest that fails validation is rebuilt (counted under
+// persist.corrupt_artifacts), never trusted.
 
 #include <string>
 #include <vector>
@@ -28,16 +28,9 @@ std::vector<CharSample> build_charlib_dataset_resumable(
     const std::vector<compact::TechnologyPoint>& corners, const DatasetOptions& opts,
     const CheckpointOptions& ckpt, const exec::Context& ctx = exec::Context::serial());
 
-/// Shard artifact codec (exposed for tests and tools).
-void save_charlib_shard(persist::Storage& storage, const std::string& path,
-                        const std::vector<CharSample>& samples,
-                        const DatasetStats& stats);
+using CharlibShardLoad = persist::Shard<CharSample, DatasetStats>;
 
-struct CharlibShardLoad {
-  persist::LoadStatus status = persist::LoadStatus::kNotFound;
-  std::vector<CharSample> samples;
-  DatasetStats stats;  ///< this shard's drop/solver accounting
-};
+/// Decode one shard artifact, whatever build it names (for tests and tools).
 [[nodiscard]] CharlibShardLoad load_charlib_shard(persist::Storage& storage,
                                                   const std::string& path);
 

@@ -40,6 +40,13 @@ struct DatasetStats {
   std::size_t degraded_characterizations = 0;  ///< runs with >= 1 failed sim
   std::size_t failed_sims = 0;        ///< sims dead even after the retry ladder
   numeric::RobustnessStats solver;    ///< aggregated solver counters
+
+  void merge(const DatasetStats& o) {
+    characterizations += o.characterizations;
+    degraded_characterizations += o.degraded_characterizations;
+    failed_sims += o.failed_sims;
+    solver.merge(o.solver);
+  }
 };
 
 struct DatasetOptions {

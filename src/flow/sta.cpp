@@ -1,7 +1,6 @@
 #include "src/flow/sta.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace stco::flow {
 
@@ -75,21 +74,16 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   rep.min_period = crit * opts.clock_margin;
   rep.fmax = rep.min_period > 0 ? 1.0 / rep.min_period : 0.0;
 
-  // Power at fmax. Output-flip energy uses per-net toggle rates when a
-  // vector-based activity report is supplied; internal (non-flip) energy
-  // scales with the inputs' activity, approximated by the output rate.
-  const auto* act = opts.measured_activity;
-  if (act && act->net_activity.size() != n)
-    throw std::invalid_argument("analyze: activity report size mismatch");
-  auto net_act = [&](NetId net) {
-    return act ? act->net_activity[net] : opts.activity;
-  };
+  // Power at fmax. Output-flip energy scales with the output's toggle
+  // rate; internal (non-flip) energy with the inputs' rate in excess of it.
+  // Every net toggles at opts.activity, so the non-flip term is zero, but it
+  // stays in the sum so a non-finite nonflip_energy still reaches the report.
+  const double a_out = opts.activity;
+  const double a_fanin = std::max(0.0, opts.activity);  // max over >= 1 input
   double dyn_energy_per_cycle = 0.0, leak = 0.0, area = 0.0;
   for (const auto& g : nl.gates()) {
     const auto& ct = lib.cell(g.cell);
-    const double a_out = net_act(g.out);
-    double a_in = 0.0;
-    for (NetId in : g.fanin) a_in = std::max(a_in, net_act(in));
+    const double a_in = g.fanin.empty() ? 0.0 : a_fanin;
     dyn_energy_per_cycle +=
         a_out * ct.flip_energy + std::max(0.0, a_in - a_out) * ct.nonflip_energy;
     leak += ct.leakage;
@@ -97,8 +91,8 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   }
   if (lib.has_cell("DFF")) {
     const auto& dffct = lib.cell("DFF");
-    for (const auto& ff : nl.flipflops()) {
-      dyn_energy_per_cycle += net_act(ff.q) * lib.dff_flip_energy;
+    for (std::size_t k = 0; k < nl.num_flipflops(); ++k) {
+      dyn_energy_per_cycle += opts.activity * lib.dff_flip_energy;
       leak += lib.dff_leakage;
       area += cell_area(dffct, lib.tech);
     }
@@ -109,138 +103,6 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   rep.area = area;
   rep.arrival = std::move(arrival);
   return rep;
-}
-
-}  // namespace stco::flow
-
-namespace stco::flow {
-
-namespace {
-
-/// Arrival/slew propagation with driver bookkeeping for path tracing.
-struct PropState {
-  numeric::Vec arrival, slew, load;
-  /// For each net: the gate index driving it (SIZE_MAX for PIs / FF Qs)
-  /// and the fanin net chosen as the worst input.
-  std::vector<std::size_t> driver_gate;
-  std::vector<NetId> worst_input;
-};
-
-PropState propagate(const GateNetlist& nl, const TimingLibrary& lib,
-                    const StaOptions& opts) {
-  const std::size_t n = nl.num_nets();
-  PropState st;
-  st.arrival.assign(n, 0.0);
-  st.slew.assign(n, opts.primary_input_slew);
-  st.load.assign(n, 0.0);
-  st.driver_gate.assign(n, SIZE_MAX);
-  st.worst_input.assign(n, 0);
-
-  std::vector<std::size_t> fanout(n, 0);
-  for (const auto& g : nl.gates()) {
-    const auto& ct = lib.cell(g.cell);
-    for (NetId in : g.fanin) {
-      st.load[in] += ct.input_cap;
-      ++fanout[in];
-    }
-  }
-  for (const auto& ff : nl.flipflops()) {
-    st.load[ff.d] += lib.dff_cap;
-    ++fanout[ff.d];
-  }
-  for (NetId po : nl.primary_outputs()) st.load[po] += opts.primary_output_load;
-  for (std::size_t i = 0; i < n; ++i)
-    st.load[i] += opts.wire_cap_per_fanout * static_cast<double>(fanout[i]);
-
-  for (const auto& ff : nl.flipflops()) st.arrival[ff.q] = lib.dff_clk2q;
-
-  for (std::size_t gi = 0; gi < nl.gates().size(); ++gi) {
-    const auto& g = nl.gates()[gi];
-    const auto& ct = lib.cell(g.cell);
-    double worst_arr = 0.0, worst_slew = opts.primary_input_slew;
-    NetId worst_net = g.fanin[0];
-    for (NetId in : g.fanin) {
-      if (st.arrival[in] >= worst_arr) {
-        worst_arr = st.arrival[in];
-        worst_slew = st.slew[in];
-        worst_net = in;
-      }
-    }
-    st.arrival[g.out] = worst_arr + ct.delay_at(worst_slew, st.load[g.out]);
-    st.slew[g.out] = ct.slew_at(worst_slew, st.load[g.out]);
-    st.driver_gate[g.out] = gi;
-    st.worst_input[g.out] = worst_net;
-  }
-  return st;
-}
-
-}  // namespace
-
-CriticalPath trace_critical_path(const GateNetlist& nl, const TimingLibrary& lib,
-                                 double clock_period, const StaOptions& opts) {
-  nl.check();
-  const PropState st = propagate(nl, lib, opts);
-
-  CriticalPath cp;
-  cp.slack = 1e300;
-  NetId endpoint = 0;
-  for (const auto& ff : nl.flipflops()) {
-    const double required = clock_period - lib.dff_setup;
-    const double slack = required - st.arrival[ff.d];
-    if (slack < cp.slack) {
-      cp.slack = slack;
-      cp.arrival = st.arrival[ff.d];
-      cp.required = required;
-      cp.endpoint_is_ff = true;
-      endpoint = ff.d;
-    }
-  }
-  for (NetId po : nl.primary_outputs()) {
-    const double slack = clock_period - st.arrival[po];
-    if (slack < cp.slack) {
-      cp.slack = slack;
-      cp.arrival = st.arrival[po];
-      cp.required = clock_period;
-      cp.endpoint_is_ff = false;
-      endpoint = po;
-    }
-  }
-
-  // Walk back through worst inputs to the launch point.
-  std::vector<PathStage> rev;
-  NetId net = endpoint;
-  while (true) {
-    PathStage stage;
-    stage.net = net;
-    stage.arrival = st.arrival[net];
-    stage.slew = st.slew[net];
-    const std::size_t gi = st.driver_gate[net];
-    if (gi == SIZE_MAX) {
-      bool is_ff = false;
-      for (const auto& ff : nl.flipflops())
-        if (ff.q == net) is_ff = true;
-      stage.cell = is_ff ? "<ff>" : "<input>";
-      rev.push_back(std::move(stage));
-      break;
-    }
-    stage.cell = nl.gates()[gi].cell;
-    rev.push_back(std::move(stage));
-    net = st.worst_input[net];
-  }
-  cp.stages.assign(rev.rbegin(), rev.rend());
-  return cp;
-}
-
-numeric::Vec endpoint_slacks(const GateNetlist& nl, const TimingLibrary& lib,
-                             double clock_period, const StaOptions& opts) {
-  nl.check();
-  const PropState st = propagate(nl, lib, opts);
-  numeric::Vec slacks;
-  for (const auto& ff : nl.flipflops())
-    slacks.push_back(clock_period - lib.dff_setup - st.arrival[ff.d]);
-  for (NetId po : nl.primary_outputs())
-    slacks.push_back(clock_period - st.arrival[po]);
-  return slacks;
 }
 
 }  // namespace stco::flow

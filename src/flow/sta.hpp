@@ -4,7 +4,6 @@
 // uses commercial synthesis / P&R / signoff here; see DESIGN.md).
 
 #include "src/flow/liberty.hpp"
-#include "src/flow/logic_sim.hpp"
 #include "src/flow/netlist.hpp"
 
 namespace stco::flow {
@@ -13,11 +12,8 @@ struct StaOptions {
   double primary_input_slew = 10e-9;  ///< boundary condition [s]
   double primary_output_load = 20e-15;
   double wire_cap_per_fanout = 2e-15; ///< crude interconnect estimate [F]
-  double activity = 0.15;             ///< fallback toggle probability per net
+  double activity = 0.15;             ///< toggle probability per net
   double clock_margin = 1.1;          ///< period guard band
-  /// Vector-based activity from simulate_activity(); when set, per-net
-  /// toggle rates replace the constant `activity` in the power model.
-  const ActivityReport* measured_activity = nullptr;
 };
 
 struct StaReport {
@@ -42,33 +38,6 @@ struct StaReport {
 /// Run static timing + power + area analysis.
 StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
                   const StaOptions& opts = {});
-
-/// One stage of a traced timing path.
-struct PathStage {
-  std::string cell;     ///< driving cell ("<input>"/"<ff>" at the start)
-  NetId net = 0;        ///< the stage's output net
-  double arrival = 0.0; ///< [s]
-  double slew = 0.0;    ///< [s]
-};
-
-/// Critical path: worst endpoint and the gate chain that forms it.
-struct CriticalPath {
-  double arrival = 0.0;          ///< data arrival at the endpoint [s]
-  double required = 0.0;         ///< capture requirement (period - setup)
-  double slack = 0.0;            ///< required - arrival
-  bool endpoint_is_ff = false;   ///< false: primary output
-  std::vector<PathStage> stages; ///< launch to capture, in order
-};
-
-/// Trace the worst path at a given clock period (use rep.min_period for
-/// zero-slack reporting).
-CriticalPath trace_critical_path(const GateNetlist& nl, const TimingLibrary& lib,
-                                 double clock_period, const StaOptions& opts = {});
-
-/// Slack per endpoint (flip-flop D pins first, then primary outputs) at the
-/// given clock period.
-numeric::Vec endpoint_slacks(const GateNetlist& nl, const TimingLibrary& lib,
-                             double clock_period, const StaOptions& opts = {});
 
 /// Cell footprint model: layout area of one cell at the library's sizing
 /// (device area plus routing overhead).

@@ -1,51 +1,54 @@
 #include "src/persist/artifacts.hpp"
 
-#include <sstream>
-
-#include "src/tensor/serialize.hpp"
+#include <utility>
 
 namespace stco::persist {
 
 namespace {
-constexpr std::uint32_t kWeightsSchema = 1;
+// Schema 2 encodes tensors directly; a schema-1 file reads as kBadVersion,
+// so its model retrains.
+constexpr std::uint32_t kWeightsSchema = 2;
 }  // namespace
 
 void write_weights(Storage& storage, const std::string& path, std::uint32_t model_tag,
                    const std::vector<tensor::Tensor>& params) {
-  std::ostringstream os(std::ios::binary);
-  tensor::save_parameters(os, params);
   PayloadWriter w;
   w.put_u32(model_tag);
-  w.put_raw(os.str());
+  w.put_u64(params.size());
+  for (const tensor::Tensor& p : params) {
+    w.put_u64(p.rows());
+    w.put_u64(p.cols());
+    w.put_f64s(p.value());
+  }
   write_artifact(storage, path, kind::kWeights, kWeightsSchema, w.bytes());
 }
 
 LoadStatus read_weights(Storage& storage, const std::string& path,
                         std::uint32_t model_tag, std::vector<tensor::Tensor>& params) {
-  ArtifactData art = read_artifact(storage, path, kind::kWeights);
+  const ArtifactData art = read_artifact(storage, path, kind::kWeights, kWeightsSchema);
   if (!ok(art.status)) return art.status;
-  if (art.schema != kWeightsSchema) {
-    count_corrupt_artifact();
-    return LoadStatus::kBadVersion;
-  }
   try {
     PayloadReader r(art.payload);
     if (r.get_u32() != model_tag) {
       count_corrupt_artifact();
       return LoadStatus::kWrongKind;
     }
-    // Decode into scratch tensors first so a payload that fails mid-way
-    // cannot leave `params` half-overwritten.
-    std::vector<tensor::Tensor> scratch;
-    scratch.reserve(params.size());
-    for (const tensor::Tensor& p : params)
-      scratch.emplace_back(tensor::Tensor::zeros(p.rows(), p.cols()));
-    std::istringstream is(std::string(r.get_raw(r.remaining())),
-                          std::ios::binary);
-    tensor::load_parameters(is, scratch);
+    if (r.get_u64() != params.size()) throw PayloadError("weights: tensor count mismatch");
+    // Decode every tensor before touching `params`, so a payload that fails
+    // mid-way cannot leave them half-overwritten.
+    std::vector<std::vector<double>> values;
+    values.reserve(params.size());
+    for (const tensor::Tensor& p : params) {
+      const std::uint64_t rows = r.get_u64();
+      const std::uint64_t cols = r.get_u64();
+      values.push_back(r.get_f64s());
+      if (rows != p.rows() || cols != p.cols() || values.back().size() != p.size())
+        throw PayloadError("weights: shape mismatch");
+    }
+    if (!r.done()) throw PayloadError("weights: trailing bytes");
     for (std::size_t i = 0; i < params.size(); ++i)
-      params[i].value() = scratch[i].value();
-  } catch (const std::exception&) {  // PayloadError or tensor codec error
+      params[i].value() = std::move(values[i]);
+  } catch (const PayloadError&) {
     count_corrupt_artifact();
     return LoadStatus::kBadPayload;
   }

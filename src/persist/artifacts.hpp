@@ -2,8 +2,8 @@
 // Typed artifact helpers shared by the model/dataset persistence code.
 //
 // Registry of STCA artifact kinds (fourcc), the weights artifact (any
-// parameter list serialized with the tensor codec, tagged per model so a
-// charlib model file cannot be loaded as a surrogate), and the codec for
+// parameter list as its tensor count, shapes and values, tagged per model
+// so a charlib model file cannot be loaded as a surrogate), and the codec for
 // numeric::RobustnessStats (checkpointed per shard so resumed aggregate
 // stats match an uninterrupted run exactly).
 
@@ -33,7 +33,8 @@ void write_weights(Storage& storage, const std::string& path, std::uint32_t mode
                    const std::vector<tensor::Tensor>& params);
 
 /// Load a weights artifact into `params` (shapes must already match; the
-/// copy is all-or-nothing). Tag or codec mismatch degrades to a status.
+/// copy is all-or-nothing). A tag, count or shape mismatch, or bytes left
+/// over, degrades to a status.
 [[nodiscard]] LoadStatus read_weights(Storage& storage, const std::string& path,
                                       std::uint32_t model_tag,
                                       std::vector<tensor::Tensor>& params);

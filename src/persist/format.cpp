@@ -156,4 +156,15 @@ ArtifactData read_artifact(Storage& storage, const std::string& path,
   return out;
 }
 
+ArtifactData read_artifact(Storage& storage, const std::string& path,
+                           std::uint32_t expected_kind, std::uint32_t expected_schema) {
+  ArtifactData out = read_artifact(storage, path, expected_kind);
+  if (ok(out.status) && out.schema != expected_schema) {
+    count_corrupt_artifact();
+    out.status = LoadStatus::kBadVersion;
+    out.payload.clear();
+  }
+  return out;
+}
+
 }  // namespace stco::persist

@@ -108,6 +108,12 @@ struct ArtifactData {
 [[nodiscard]] ArtifactData read_artifact(Storage& storage, const std::string& path,
                                          std::uint32_t expected_kind);
 
+/// read_artifact that also requires `expected_schema`: an artifact of any
+/// other schema reads as kBadVersion (counted) and its payload is dropped.
+[[nodiscard]] ArtifactData read_artifact(Storage& storage, const std::string& path,
+                                         std::uint32_t expected_kind,
+                                         std::uint32_t expected_schema);
+
 /// Count one corrupt artifact detected after the envelope check passed
 /// (payload-level decode failures in typed loaders).
 void count_corrupt_artifact();

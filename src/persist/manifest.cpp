@@ -1,14 +1,14 @@
 #include "src/persist/manifest.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <stdexcept>
 
 #include "src/persist/artifacts.hpp"
-#include "src/persist/format.hpp"
 
 namespace stco::persist {
 
 namespace {
-constexpr std::uint32_t kManifestSchema = 1;
+constexpr std::uint32_t kManifestSchema = 2;
 }  // namespace
 
 void Fingerprint::add_bytes(const void* data, std::size_t len) {
@@ -35,57 +35,62 @@ Fingerprint& Fingerprint::add_str(std::string_view s) {
   return *this;
 }
 
-const ShardEntry* Manifest::find(std::uint32_t index) const {
-  for (const ShardEntry& e : completed)
-    if (e.index == index) return &e;
-  return nullptr;
+bool Manifest::has(std::uint32_t index) const {
+  return std::find(completed.begin(), completed.end(), index) != completed.end();
 }
 
 void save_manifest(Storage& storage, const std::string& path, const Manifest& m) {
   PayloadWriter w;
   w.put_str(m.dataset_kind);
   w.put_u64(m.fingerprint);
-  w.put_u64(m.shard_size);
-  w.put_u64(m.total_items);
   w.put_u32(m.num_shards);
   w.put_u64(m.completed.size());
-  for (const ShardEntry& e : m.completed) {
-    w.put_u32(e.index);
-    w.put_u64(e.items);
-    w.put_str(e.file);
-  }
+  for (std::uint32_t index : m.completed) w.put_u32(index);
   write_artifact(storage, path, kind::kManifest, kManifestSchema, w.bytes());
 }
 
 LoadStatus load_manifest(Storage& storage, const std::string& path, Manifest& out) {
-  ArtifactData art = read_artifact(storage, path, kind::kManifest);
+  const ArtifactData art = read_artifact(storage, path, kind::kManifest, kManifestSchema);
   if (!ok(art.status)) return art.status;
-  if (art.schema != kManifestSchema) {
-    count_corrupt_artifact();
-    return LoadStatus::kBadVersion;
-  }
   try {
     PayloadReader r(art.payload);
     out.dataset_kind = r.get_str();
     out.fingerprint = r.get_u64();
-    out.shard_size = r.get_u64();
-    out.total_items = r.get_u64();
     out.num_shards = r.get_u32();
     const std::uint64_t n = r.get_u64();
     out.completed.clear();
     out.completed.reserve(n > 4096 ? 4096 : static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-      ShardEntry e;
-      e.index = r.get_u32();
-      e.items = r.get_u64();
-      e.file = r.get_str();
-      out.completed.push_back(std::move(e));
+      const std::uint32_t index = r.get_u32();
+      if (index >= out.num_shards) throw PayloadError("manifest: shard index out of range");
+      out.completed.push_back(index);
     }
+    if (!r.done()) throw PayloadError("manifest: trailing bytes");
   } catch (const PayloadError&) {
     count_corrupt_artifact();
     return LoadStatus::kBadPayload;
   }
   return LoadStatus::kOk;
 }
+
+namespace detail {
+
+Manifest resume_manifest(const CheckpointOptions& ckpt, Storage& storage,
+                         std::string_view kind, std::uint64_t fingerprint,
+                         std::size_t items) {
+  if (ckpt.dir.empty()) throw std::invalid_argument("build_sharded: empty dir");
+  if (ckpt.shard_size == 0) throw std::invalid_argument("build_sharded: shard_size 0");
+  storage.create_directories(ckpt.dir);
+  const auto num_shards =
+      static_cast<std::uint32_t>((items + ckpt.shard_size - 1) / ckpt.shard_size);
+  Manifest m;
+  if (ok(load_manifest(storage, manifest_path(ckpt), m)) && m.dataset_kind == kind &&
+      m.fingerprint == fingerprint && m.num_shards == num_shards)
+    return m;
+  // Missing, corrupt, or from a different configuration: start fresh.
+  return Manifest{std::string(kind), fingerprint, num_shards, {}};
+}
+
+}  // namespace detail
 
 }  // namespace stco::persist

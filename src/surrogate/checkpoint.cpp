@@ -1,13 +1,9 @@
 #include "src/surrogate/checkpoint.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "src/gnn/serialize.hpp"
 #include "src/numeric/rng.hpp"
 #include "src/obs/obs.hpp"
 #include "src/persist/artifacts.hpp"
-#include "src/persist/format.hpp"
 
 namespace stco::surrogate {
 
@@ -68,35 +64,50 @@ tcad::TftDevice get_device(persist::PayloadReader& r) {
   return d;
 }
 
-void put_sample(persist::PayloadWriter& w, const DeviceSample& s) {
-  put_device(w, s.device);
-  w.put_f64(s.bias.vg);
-  w.put_f64(s.bias.vd);
-  w.put_f64(s.bias.vs);
-  w.put_f64(s.drain_current);
-  gnn::put_graph(w, s.poisson_graph);
-  gnn::put_graph(w, s.iv_graph);
-}
+struct ShardCodec {
+  using Sample = DeviceSample;
+  using Stats = PopulationStats;
+  static constexpr const char* kName = "surrogate";
+  static constexpr std::uint32_t kArtifact = persist::kind::kSurrogateShard;
+  static constexpr const char* kProgress = "surrogate.population.devices";
+  static constexpr bool kProgressPerSample = true;  // one unit per device
 
-DeviceSample get_sample(persist::PayloadReader& r) {
-  DeviceSample s;
-  s.device = get_device(r);
-  s.bias.vg = r.get_f64();
-  s.bias.vd = r.get_f64();
-  s.bias.vs = r.get_f64();
-  s.drain_current = r.get_f64();
-  s.poisson_graph = gnn::get_graph(r);
-  s.iv_graph = gnn::get_graph(r);
-  return s;
-}
+  static void put(persist::PayloadWriter& w, const DeviceSample& s) {
+    put_device(w, s.device);
+    w.put_f64(s.bias.vg);
+    w.put_f64(s.bias.vd);
+    w.put_f64(s.bias.vs);
+    w.put_f64(s.drain_current);
+    gnn::put_graph(w, s.poisson_graph);
+    gnn::put_graph(w, s.iv_graph);
+  }
 
-std::string shard_file(std::uint32_t index) {
-  return "surrogate-shard-" + std::to_string(index) + ".stca";
-}
+  static DeviceSample get(persist::PayloadReader& r) {
+    DeviceSample s;
+    s.device = get_device(r);
+    s.bias.vg = r.get_f64();
+    s.bias.vd = r.get_f64();
+    s.bias.vs = r.get_f64();
+    s.drain_current = r.get_f64();
+    s.poisson_graph = gnn::get_graph(r);
+    s.iv_graph = gnn::get_graph(r);
+    return s;
+  }
 
-persist::Storage& storage_of(const CheckpointOptions& ckpt) {
-  return ckpt.storage ? *ckpt.storage : persist::default_storage();
-}
+  static void put_stats(persist::PayloadWriter& w, const PopulationStats& s) {
+    w.put_u64(s.attempts);
+    w.put_u64(s.dropped);
+    persist::put_robustness(w, s.solver);
+  }
+
+  static PopulationStats get_stats(persist::PayloadReader& r) {
+    PopulationStats s;
+    s.attempts = r.get_u64();
+    s.dropped = r.get_u64();
+    s.solver = persist::get_robustness(r);
+    return s;
+  }
+};
 
 }  // namespace
 
@@ -130,136 +141,31 @@ std::uint64_t population_fingerprint(std::size_t count, std::uint64_t seed,
 void save_surrogate_shard(persist::Storage& storage, const std::string& path,
                           const std::vector<DeviceSample>& samples,
                           const PopulationStats& stats) {
-  persist::PayloadWriter w;
-  w.put_u64(samples.size());
-  for (const DeviceSample& s : samples) put_sample(w, s);
-  w.put_u64(stats.attempts);
-  w.put_u64(stats.dropped);
-  persist::put_robustness(w, stats.solver);
-  persist::write_artifact(storage, path, persist::kind::kSurrogateShard, kShardSchema,
-                          w.bytes());
+  persist::save_shard<ShardCodec>(storage, path, {}, samples, stats);
 }
 
 SurrogateShardLoad load_surrogate_shard(persist::Storage& storage,
                                         const std::string& path) {
-  SurrogateShardLoad out;
-  persist::ArtifactData art =
-      persist::read_artifact(storage, path, persist::kind::kSurrogateShard);
-  out.status = art.status;
-  if (!persist::ok(art.status)) return out;
-  if (art.schema != kShardSchema) {
-    persist::count_corrupt_artifact();
-    out.status = persist::LoadStatus::kBadVersion;
-    return out;
-  }
-  try {
-    persist::PayloadReader r(art.payload);
-    const std::uint64_t n = r.get_u64();
-    for (std::uint64_t i = 0; i < n; ++i) out.samples.push_back(get_sample(r));
-    out.stats.attempts = r.get_u64();
-    out.stats.dropped = r.get_u64();
-    out.stats.solver = persist::get_robustness(r);
-  } catch (const persist::PayloadError&) {
-    persist::count_corrupt_artifact();
-    out = SurrogateShardLoad{};
-    out.status = persist::LoadStatus::kBadPayload;
-  }
-  return out;
+  return persist::load_shard<ShardCodec>(storage, path);
 }
 
 std::vector<DeviceSample> generate_population_resumable(
     std::size_t count, std::uint64_t seed, const PopulationOptions& opts,
     const CheckpointOptions& ckpt, const exec::Context& ctx) {
   obs::Span span("surrogate.generate_population_resumable");
-  static obs::Counter& c_loaded = obs::counter("persist.shards_loaded");
-  static obs::Counter& c_built = obs::counter("persist.shards_built");
-  if (ckpt.dir.empty())
-    throw std::invalid_argument("generate_population_resumable: empty dir");
-  if (ckpt.shard_size == 0)
-    throw std::invalid_argument("generate_population_resumable: shard_size 0");
-
-  persist::Storage& storage = storage_of(ckpt);
-  storage.create_directories(ckpt.dir);
-  const std::string manifest_path = ckpt.dir + "/manifest.stca";
-  const std::uint64_t fp = population_fingerprint(count, seed, opts, ckpt.shard_size);
-  const std::uint32_t num_shards =
-      static_cast<std::uint32_t>((count + ckpt.shard_size - 1) / ckpt.shard_size);
-
-  persist::Manifest manifest;
-  const persist::LoadStatus ms = persist::load_manifest(storage, manifest_path, manifest);
-  if (!persist::ok(ms) || manifest.dataset_kind != "surrogate" ||
-      manifest.fingerprint != fp || manifest.num_shards != num_shards) {
-    manifest = persist::Manifest{};
-    manifest.dataset_kind = "surrogate";
-    manifest.fingerprint = fp;
-    manifest.shard_size = ckpt.shard_size;
-    manifest.num_shards = num_shards;
-    manifest.total_items = count;
-  }
-
-  std::vector<DeviceSample> out;
-  PopulationStats total;
-  for (std::uint32_t si = 0; si < num_shards; ++si) {
-    const std::size_t begin = static_cast<std::size_t>(si) * ckpt.shard_size;
-    const std::size_t target = std::min(ckpt.shard_size, count - begin);
-    const std::string path = ckpt.dir + "/" + shard_file(si);
-
-    if (manifest.find(si) != nullptr) {
-      SurrogateShardLoad loaded = load_surrogate_shard(storage, path);
-      if (persist::ok(loaded.status)) {
-        c_loaded.add(1);
-        // Same cumulative progress task generate_population advances for
-        // rebuilt shards: a resumed run's done/total spans the whole
-        // population.
-        static obs::ProgressTask& prog =
-            obs::progress("surrogate.population.devices");
-        prog.add_work(loaded.samples.size());
-        prog.advance(loaded.samples.size());
-        out.insert(out.end(), std::make_move_iterator(loaded.samples.begin()),
-                   std::make_move_iterator(loaded.samples.end()));
-        total.attempts += loaded.stats.attempts;
-        total.dropped += loaded.stats.dropped;
-        total.solver.merge(loaded.stats.solver);
-        continue;
-      }
-      auto& done = manifest.completed;
-      for (auto it = done.begin(); it != done.end(); ++it) {
-        if (it->index == si) {
-          done.erase(it);
-          break;
-        }
-      }
-    }
-
-    // Shard randomness: an independent master seed per shard index makes
-    // the shard a pure function of (seed, si, opts) — resuming cannot
-    // shift any other shard's stream.
-    const std::uint64_t shard_seed = numeric::mix_seed(seed, si);
+  // Shard randomness: an independent master seed per shard index makes the
+  // shard a pure function of (seed, index, opts) — resuming cannot shift
+  // any other shard's stream.
+  const auto build_shard = [&](const persist::ShardRange& range,
+                               PopulationStats& stats) {
     PopulationOptions shard_opts = opts;
-    PopulationStats shard_stats;
-    shard_opts.stats = &shard_stats;
-    std::vector<DeviceSample> samples =
-        generate_population(target, shard_seed, shard_opts, ctx);
-
-    save_surrogate_shard(storage, path, samples, shard_stats);
-    manifest.completed.push_back(
-        {si, static_cast<std::uint64_t>(samples.size()), shard_file(si)});
-    persist::save_manifest(storage, manifest_path, manifest);
-    c_built.add(1);
-
-    out.insert(out.end(), std::make_move_iterator(samples.begin()),
-               std::make_move_iterator(samples.end()));
-    total.attempts += shard_stats.attempts;
-    total.dropped += shard_stats.dropped;
-    total.solver.merge(shard_stats.solver);
-  }
-
-  if (opts.stats) {
-    opts.stats->attempts += total.attempts;
-    opts.stats->dropped += total.dropped;
-    opts.stats->solver.merge(total.solver);
-  }
-  return out;
+    shard_opts.stats = &stats;
+    return generate_population(range.end - range.begin,
+                               numeric::mix_seed(seed, range.index), shard_opts, ctx);
+  };
+  return persist::build_sharded<ShardCodec>(
+      ckpt, population_fingerprint(count, seed, opts, ckpt.shard_size), count,
+      build_shard, opts.stats);
 }
 
 }  // namespace stco::surrogate

@@ -10,8 +10,9 @@
 // unsharded generate_population stream; it is drawn from the same
 // distribution and is deterministic in its own right.)
 //
-// Completed shards are checksummed artifacts tracked by an atomically
-// rewritten manifest; corrupt shards are rebuilt, never trusted.
+// Shards run through persist::build_sharded: completed shards are
+// checksummed artifacts tracked by an atomically rewritten manifest;
+// corrupt shards are rebuilt, never trusted.
 
 #include <cstdint>
 #include <string>
@@ -31,16 +32,13 @@ std::vector<DeviceSample> generate_population_resumable(
     std::size_t count, std::uint64_t seed, const PopulationOptions& opts,
     const CheckpointOptions& ckpt, const exec::Context& ctx = exec::Context::serial());
 
-/// Shard artifact codec (exposed for tests and tools).
+using SurrogateShardLoad = persist::Shard<DeviceSample, PopulationStats>;
+
+/// Shard artifact codec (for tests and tools). The standalone save writes
+/// an empty header (fingerprint 0, shard 0); the load accepts any header.
 void save_surrogate_shard(persist::Storage& storage, const std::string& path,
                           const std::vector<DeviceSample>& samples,
                           const PopulationStats& stats);
-
-struct SurrogateShardLoad {
-  persist::LoadStatus status = persist::LoadStatus::kNotFound;
-  std::vector<DeviceSample> samples;
-  PopulationStats stats;  ///< this shard's attempt/drop/solver accounting
-};
 [[nodiscard]] SurrogateShardLoad load_surrogate_shard(persist::Storage& storage,
                                                       const std::string& path);
 
