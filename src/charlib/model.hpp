@@ -60,10 +60,12 @@ class CellCharModel {
   /// inference plan (no autograd); safe to call concurrently.
   double predict(const gnn::Graph& g, cells::Metric metric) const;
 
-  /// Batched predict: one fused CSR forward over all graphs, evaluating
-  /// `metrics` for each. Returns (graphs.size() x metrics.size())
-  /// row-major raw values. This is the grid-characterization fast path
-  /// used by flow::build_library_gnn.
+  /// Batched predict: one fused CSR forward over all graphs (graphs run as
+  /// tasks on `ctx`), the trunk once per graph feeding every head in
+  /// `metrics`. Returns (graphs.size() x metrics.size()) row-major raw
+  /// values, each bit-identical to predict(graph, metric) for any batch
+  /// composition and thread count. flow::build_library_gnn runs a whole
+  /// library through one call.
   std::vector<double> predict_batch(
       std::span<const gnn::Graph> graphs, std::span<const cells::Metric> metrics,
       const exec::Context& ctx = exec::Context::serial()) const;

@@ -1,6 +1,8 @@
 #include "src/flow/liberty.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -49,8 +51,24 @@ void finalize_sequential(TimingLibrary& lib) {
   lib.dff_flip_energy = d.flip_energy;
 }
 
-std::size_t transistor_count(const std::string& name) {
-  return cells::find_cell(name).num_transistors();
+// Stimulus of a GNN library query: toggle the first data input (the clock
+// of a sequential cell) with the others low — the worst-arc convention the
+// training samples encode.
+charlib::PinContext worst_arc_stimulus(const cells::CellDef& def, double slew,
+                                       double load) {
+  charlib::PinContext pc;
+  for (const auto& pin : def.inputs) {
+    pc.current_state[pin] = false;
+    pc.next_state[pin] = false;
+  }
+  const auto data = def.data_inputs();
+  const std::string tog =
+      def.sequential ? def.clock_pin : (data.empty() ? def.inputs[0] : data[0]);
+  pc.toggling_pin = tog;
+  pc.next_state[tog] = true;
+  pc.input_slew = slew;
+  pc.output_load = load;
+  return pc;
 }
 
 // A single non-finite table entry poisons interpolation (and hence every
@@ -159,87 +177,57 @@ TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
   TimingLibrary lib;
   lib.tech = tech;
   const auto names = effective_cells(opts);
+  const std::size_t ns = opts.slew_axis.size();
+  const std::size_t nl = opts.load_axis.size();
+  const std::size_t per_cell = ns * nl;
+  const std::size_t centre_j = (ns / 2) * nl + nl / 2;
 
-  // One task per cell; raw predictions go through checked() at the
-  // grid-ordered merge so `lib.complete` accounting matches the serial path.
-  struct GnnJob {
-    CellTiming ct;
-    double dff_setup = 0.0;
-  };
-  auto jobs = ctx.map(names.size(), [&](std::size_t c) {
-    GnnJob job;
-    const auto& name = names[c];
-    const auto& def = cells::find_cell(name);
-    CellTiming& ct = job.ct;
-    ct.slew_axis = opts.slew_axis;
-    ct.load_axis = opts.load_axis;
-    ct.delay.resize(opts.slew_axis.size(), opts.load_axis.size());
-    ct.out_slew.resize(opts.slew_axis.size(), opts.load_axis.size());
-    ct.transistors = transistor_count(name);
-
-    // Stimulus context: toggle the first data input with the others low —
-    // the worst-arc convention the training samples encode.
-    auto ctx_for = [&](double slew, double load) {
-      charlib::PinContext ctx;
-      for (const auto& pin : def.inputs) {
-        ctx.current_state[pin] = false;
-        ctx.next_state[pin] = false;
-      }
-      const auto data = def.data_inputs();
-      const std::string tog =
-          def.sequential ? def.clock_pin : (data.empty() ? def.inputs[0] : data[0]);
-      ctx.toggling_pin = tog;
-      ctx.next_state[tog] = true;
-      ctx.input_slew = slew;
-      ctx.output_load = load;
-      return ctx;
-    };
-
-    // Encode the whole slew x load grid, then run it as one fused batched
-    // forward (one CSR merge + one arena pass instead of a model.predict
-    // per grid point).
-    std::vector<gnn::Graph> grid;
-    grid.reserve(opts.slew_axis.size() * opts.load_axis.size());
-    for (std::size_t si = 0; si < opts.slew_axis.size(); ++si)
-      for (std::size_t li = 0; li < opts.load_axis.size(); ++li)
-        grid.push_back(charlib::encode_cell(
-            def, tech, opts.sizing,
-            ctx_for(opts.slew_axis[si], opts.load_axis[li]), opts.scales));
-
-    const cells::Metric timing[] = {cells::Metric::kDelay,
-                                    cells::Metric::kOutputSlew};
-    const auto timing_pred = model.predict_batch(grid, timing);
-    for (std::size_t si = 0; si < opts.slew_axis.size(); ++si) {
-      for (std::size_t li = 0; li < opts.load_axis.size(); ++li) {
-        const std::size_t g = si * opts.load_axis.size() + li;
-        ct.delay(si, li) = timing_pred[2 * g];
-        ct.out_slew(si, li) = timing_pred[2 * g + 1];
-      }
-    }
-
-    // The remaining metrics are load/slew-independent by convention: take
-    // them from the center grid point, as the serial path does.
-    const std::size_t center = (opts.slew_axis.size() / 2) * opts.load_axis.size() +
-                               opts.load_axis.size() / 2;
-    const auto& gc = grid[center];
-    ct.leakage = model.predict(gc, cells::Metric::kLeakagePower);
-    ct.flip_energy = model.predict(gc, cells::Metric::kFlipPower);
-    ct.nonflip_energy = model.predict(gc, cells::Metric::kNonFlipPower);
-    ct.input_cap = model.predict(gc, cells::Metric::kCapacitance);
-    if (def.sequential)
-      job.dff_setup = model.predict(gc, cells::Metric::kMinSetup);
-    return job;
+  // Encode every cell x slew x load graph once, one task per graph, in
+  // grid order.
+  const auto graphs = ctx.map(names.size() * per_cell, [&](std::size_t j) {
+    const auto& def = cells::find_cell(names[j / per_cell]);
+    const double slew = opts.slew_axis[(j % per_cell) / nl];
+    const double load = opts.load_axis[j % nl];
+    return charlib::encode_cell(def, tech, opts.sizing,
+                                worst_arc_stimulus(def, slew, load), opts.scales);
   });
 
+  // One batched forward: the shared trunk runs once per graph and feeds
+  // every head the library reads. The scalar metrics are load/slew-
+  // independent by convention, so they are read at each cell's centre
+  // grid point, as the SPICE path measures them.
+  using cells::Metric;
+  const Metric heads[] = {Metric::kDelay,        Metric::kOutputSlew,
+                          Metric::kLeakagePower, Metric::kFlipPower,
+                          Metric::kNonFlipPower, Metric::kCapacitance,
+                          Metric::kMinSetup};
+  constexpr std::size_t nh = std::size(heads);
+  const std::vector<double> pred = model.predict_batch(graphs, heads, ctx);
+
+  // Grid-ordered merge; raw predictions go through checked() so
+  // `lib.complete` accounting matches the SPICE path.
   for (std::size_t c = 0; c < names.size(); ++c) {
-    CellTiming& ct = jobs[c].ct;
-    for (std::size_t si = 0; si < ct.slew_axis.size(); ++si) {
-      for (std::size_t li = 0; li < ct.load_axis.size(); ++li) {
-        ct.delay(si, li) = checked(lib, ct.delay(si, li));
-        ct.out_slew(si, li) = checked(lib, ct.out_slew(si, li));
+    const auto& def = cells::find_cell(names[c]);
+    CellTiming ct;
+    ct.slew_axis = opts.slew_axis;
+    ct.load_axis = opts.load_axis;
+    ct.delay.resize(ns, nl);
+    ct.out_slew.resize(ns, nl);
+    ct.transistors = def.num_transistors();
+    const double* row = pred.data() + c * per_cell * nh;
+    for (std::size_t si = 0; si < ns; ++si) {
+      for (std::size_t li = 0; li < nl; ++li) {
+        const double* p = row + (si * nl + li) * nh;
+        ct.delay(si, li) = checked(lib, p[0]);
+        ct.out_slew(si, li) = checked(lib, p[1]);
       }
     }
-    lib.dff_setup = std::max(lib.dff_setup, jobs[c].dff_setup);
+    const double* centre = row + centre_j * nh;
+    ct.leakage = centre[2];
+    ct.flip_energy = centre[3];
+    ct.nonflip_energy = centre[4];
+    ct.input_cap = centre[5];
+    if (def.sequential) lib.dff_setup = std::max(lib.dff_setup, centre[6]);
     lib.cells.emplace(names[c], std::move(ct));
   }
   finalize_sequential(lib);

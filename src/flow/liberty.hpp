@@ -87,7 +87,14 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
                                   const exec::Context& ctx = exec::Context::serial());
 
 /// Predict through the trained GNN (fast). The model must have been trained
-/// on a compatible corner range. Cells are predicted as tasks on `ctx`.
+/// on a compatible corner range. Every cell x slew x load graph is encoded
+/// once and the whole library is one batched forward (model.predict_batch);
+/// both run the graphs as tasks on `ctx`. The shared trunk runs once per
+/// graph and feeds the delay and slew heads at every grid point and the
+/// scalar heads (leakage, energies, capacitance, setup) read at each cell's
+/// centre point. Each graph's forward is independent of the batch, so the
+/// library is bit-identical to single-graph predictions and for any thread
+/// count.
 TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
                                 const compact::TechnologyPoint& tech,
                                 const LibraryBuildOptions& opts = {},

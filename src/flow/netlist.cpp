@@ -28,11 +28,6 @@ void GateNetlist::set_flipflop_d(std::size_t i, NetId d) {
   flipflops_[i].d = d;
 }
 
-void GateNetlist::set_gate_cell(std::size_t i, std::string cell) {
-  if (i >= gates_.size()) throw std::out_of_range("set_gate_cell: index");
-  gates_[i].cell = std::move(cell);
-}
-
 std::vector<std::pair<std::string, std::size_t>> GateNetlist::cell_histogram() const {
   std::map<std::string, std::size_t> h;
   for (const auto& g : gates_) ++h[g.cell];

@@ -1,6 +1,11 @@
 #include "src/flow/sta.hpp"
 
 #include <algorithm>
+#include <map>
+#include <stdexcept>
+
+#include "src/numeric/stats.hpp"
+#include "src/obs/obs.hpp"
 
 namespace stco::flow {
 
@@ -13,9 +18,45 @@ double cell_area(const CellTiming& ct, const compact::TechnologyPoint& tech,
   return 2.0 * dev * static_cast<double>(ct.transistors);
 }
 
+StaPlan::StaPlan(const GateNetlist& nl) {
+  obs::Span span("flow.compile_sta");
+  nl.check();
+  std::map<std::string, std::uint32_t> ids;
+  gate_cells_.reserve(nl.num_gates());
+  fanout_.assign(nl.num_nets(), 0);
+  for (const auto& g : nl.gates()) {
+    const auto [it, added] =
+        ids.try_emplace(g.cell, static_cast<std::uint32_t>(cell_names_.size()));
+    if (added) cell_names_.push_back(g.cell);
+    gate_cells_.push_back(it->second);
+    for (NetId in : g.fanin) ++fanout_[in];
+  }
+  for (const auto& ff : nl.flipflops()) ++fanout_[ff.d];
+}
+
 StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
                   const StaOptions& opts) {
-  nl.check();
+  return analyze(nl, StaPlan(nl), lib, opts);
+}
+
+StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
+                  const TimingLibrary& lib, const StaOptions& opts) {
+  const auto& gates = nl.gates();
+  const auto& gate_cells = plan.gate_cells();
+  const auto& fanout = plan.fanout();
+  if (gate_cells.size() != gates.size() || fanout.size() != nl.num_nets())
+    throw std::invalid_argument("analyze: StaPlan compiled for another netlist");
+  // One lookup per distinct cell (throws on a cell the library lacks); the
+  // footprint depends on the cell alone, so it is computed once too.
+  std::vector<const CellTiming*> cells;
+  std::vector<double> cell_areas;
+  cells.reserve(plan.cell_names().size());
+  cell_areas.reserve(plan.cell_names().size());
+  for (const auto& name : plan.cell_names()) {
+    cells.push_back(&lib.cell(name));
+    cell_areas.push_back(cell_area(*cells.back(), lib.tech));
+  }
+
   StaReport rep;
   rep.num_gates = nl.num_gates();
   rep.num_ffs = nl.num_flipflops();
@@ -25,18 +66,11 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   numeric::Vec load(n, 0.0);
 
   // Net loads: consumer input caps + wire estimate.
-  std::vector<std::size_t> fanout(n, 0);
-  for (const auto& g : nl.gates()) {
-    const auto& ct = lib.cell(g.cell);
-    for (NetId in : g.fanin) {
-      load[in] += ct.input_cap;
-      ++fanout[in];
-    }
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const double cap = cells[gate_cells[k]]->input_cap;
+    for (NetId in : gates[k].fanin) load[in] += cap;
   }
-  for (const auto& ff : nl.flipflops()) {
-    load[ff.d] += lib.dff_cap;
-    ++fanout[ff.d];
-  }
+  for (const auto& ff : nl.flipflops()) load[ff.d] += lib.dff_cap;
   for (NetId po : nl.primary_outputs()) load[po] += opts.primary_output_load;
   for (std::size_t i = 0; i < n; ++i)
     load[i] += opts.wire_cap_per_fanout * static_cast<double>(fanout[i]);
@@ -52,8 +86,9 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   }
 
   // Gates are stored in topological order.
-  for (const auto& g : nl.gates()) {
-    const auto& ct = lib.cell(g.cell);
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const Gate& g = gates[k];
+    const CellTiming& ct = *cells[gate_cells[k]];
     double worst_arr = 0.0, worst_slew = opts.primary_input_slew;
     for (NetId in : g.fanin) {
       if (arrival[in] >= worst_arr) {
@@ -61,8 +96,11 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
         worst_slew = slew[in];
       }
     }
-    arrival[g.out] = worst_arr + ct.delay_at(worst_slew, load[g.out]);
-    slew[g.out] = ct.slew_at(worst_slew, load[g.out]);
+    // delay_at and slew_at share the axes: bracket them once for both.
+    const numeric::Bilinear at =
+        numeric::bilinear(ct.slew_axis, ct.load_axis, worst_slew, load[g.out]);
+    arrival[g.out] = worst_arr + at(ct.delay);
+    slew[g.out] = at(ct.out_slew);
   }
 
   // Capture: FF D pins (plus setup) and primary outputs.
@@ -81,20 +119,20 @@ StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
   const double a_out = opts.activity;
   const double a_fanin = std::max(0.0, opts.activity);  // max over >= 1 input
   double dyn_energy_per_cycle = 0.0, leak = 0.0, area = 0.0;
-  for (const auto& g : nl.gates()) {
-    const auto& ct = lib.cell(g.cell);
-    const double a_in = g.fanin.empty() ? 0.0 : a_fanin;
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const CellTiming& ct = *cells[gate_cells[k]];
+    const double a_in = gates[k].fanin.empty() ? 0.0 : a_fanin;
     dyn_energy_per_cycle +=
         a_out * ct.flip_energy + std::max(0.0, a_in - a_out) * ct.nonflip_energy;
     leak += ct.leakage;
-    area += cell_area(ct, lib.tech);
+    area += cell_areas[gate_cells[k]];
   }
   if (lib.has_cell("DFF")) {
-    const auto& dffct = lib.cell("DFF");
+    const double dff_area = cell_area(lib.cell("DFF"), lib.tech);
     for (std::size_t k = 0; k < nl.num_flipflops(); ++k) {
       dyn_energy_per_cycle += opts.activity * lib.dff_flip_energy;
       leak += lib.dff_leakage;
-      area += cell_area(dffct, lib.tech);
+      area += dff_area;
     }
   }
   rep.dynamic_power = dyn_energy_per_cycle * rep.fmax;

@@ -35,7 +35,45 @@ struct StaReport {
   numeric::Vec arrival;
 };
 
-/// Run static timing + power + area analysis.
+/// A netlist compiled for repeated analysis against changing libraries. The
+/// constructor runs GateNetlist::check() once (and throws what it throws),
+/// resolves each gate's cell name to a small integer id into the distinct
+/// cell names, and counts each net's consumers (gate inputs and flip-flop D
+/// pins). analyze() with a plan then looks each distinct cell up once per
+/// library and walks integer ids instead of names.
+///
+/// A plan describes the netlist as it was when compiled, so compile it after
+/// the last add_* / set_flipflop_d call. GateNetlist has no way to change a
+/// gate once it is added, so a netlist that is only read from then on (as
+/// StcoEngine's, whose plan is compiled in its constructor) keeps its plan
+/// valid for its lifetime.
+class StaPlan {
+ public:
+  explicit StaPlan(const GateNetlist& nl);
+
+  /// Distinct cell names, indexed by cell id (order of first use).
+  const std::vector<std::string>& cell_names() const { return cell_names_; }
+  /// Cell id of each gate, in gate order.
+  const std::vector<std::uint32_t>& gate_cells() const { return gate_cells_; }
+  /// Consumers of each net (gate inputs and flip-flop D pins).
+  const std::vector<std::uint32_t>& fanout() const { return fanout_; }
+
+ private:
+  std::vector<std::string> cell_names_;
+  std::vector<std::uint32_t> gate_cells_;
+  std::vector<std::uint32_t> fanout_;
+};
+
+/// Run static timing + power + area analysis of `nl`, compiled as `plan`.
+/// Loads, leakage, area and energy accumulate per gate in gate order (not
+/// weighted by cell counts, which would round differently), so the report
+/// does not depend on how often a plan is reused. Throws
+/// std::invalid_argument when the library lacks a cell the netlist uses or
+/// the plan was compiled for a netlist of another size.
+StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
+                  const TimingLibrary& lib, const StaOptions& opts = {});
+
+/// One-shot analysis: compiles a plan for `nl` and runs the overload above.
 StaReport analyze(const GateNetlist& nl, const TimingLibrary& lib,
                   const StaOptions& opts = {});
 

@@ -71,7 +71,6 @@ void GcnPlan::run_span(const Graph& merged, const tensor::IndexVec& node_offset,
   arena.reset();
   double* h = arena.alloc(n * hid);
   double* z = arena.alloc(n * hid);
-  double* agg = arena.alloc(n * hid);
   double* deg = arena.alloc(n);
   double* deg_out = arena.alloc(n);
   double* self_w = arena.alloc(n);
@@ -109,8 +108,10 @@ void GcnPlan::run_span(const Graph& merged, const tensor::IndexVec& node_offset,
     for (std::size_t li = 0; li < gcn_.size(); ++li) {
       const LinearBlock& lb = gcn_[li];
       k_linear(h, hid, z, hid, n0, n1, hid, hid, lb.w.data(), lb.b.data());
+      // h is dead once z is computed, so it accumulates the aggregate (agg)
+      // in place: one n x hidden scratch block less per batch.
       for (std::size_t i = n0; i < n1; ++i) {
-        double* ar = agg + i * hid;
+        double* ar = h + i * hid;
         for (std::size_t c = 0; c < hid; ++c) ar[c] = 0.0;
       }
       // agg[dst] += z[src] * w[e]: the product is rounded before the add,
@@ -118,7 +119,7 @@ void GcnPlan::run_span(const Graph& merged, const tensor::IndexVec& node_offset,
       for (std::size_t ei = e0; ei < e1; ++ei) {
         const double w = wdata[ei];
         const double* STCO_RESTRICT zs = z + src[ei] * hid;
-        double* ar = agg + dst[ei] * hid;
+        double* ar = h + dst[ei] * hid;
         for (std::size_t c = 0; c < hid; ++c) {
           const double t = zs[c] * w;
           ar[c] += t;
@@ -128,11 +129,10 @@ void GcnPlan::run_span(const Graph& merged, const tensor::IndexVec& node_offset,
       for (std::size_t i = n0; i < n1; ++i) {
         const double sw = self_w[i];
         const double* STCO_RESTRICT zr = z + i * hid;
-        double* STCO_RESTRICT ar = agg + i * hid;
         double* STCO_RESTRICT hr = h + i * hid;
         for (std::size_t c = 0; c < hid; ++c) {
           const double t = zr[c] * sw;
-          hr[c] = ar[c] + t;
+          hr[c] += t;
         }
       }
       k_activation(h, hid, n0, n1, hid, gcn_act_[li]);

@@ -94,9 +94,8 @@ double interp1(const Vec& xs, const Vec& ys, double x) {
   return ys[lo] + t * (ys[hi] - ys[lo]);
 }
 
-double interp2(const Vec& xs, const Vec& ys, const Matrix& table, double x, double y) {
-  if (table.rows() != xs.size() || table.cols() != ys.size() || xs.empty() || ys.empty())
-    throw std::invalid_argument("interp2: sizes");
+Bilinear bilinear(const Vec& xs, const Vec& ys, double x, double y) {
+  if (xs.empty() || ys.empty()) throw std::invalid_argument("interp2: sizes");
 
   auto bracket = [](const Vec& axis, double v, std::size_t& lo, double& t) {
     if (axis.size() == 1 || v <= axis.front()) {
@@ -115,15 +114,18 @@ double interp2(const Vec& xs, const Vec& ys, const Matrix& table, double x, doub
     t = (v - axis[lo]) / (axis[hi] - axis[lo]);
   };
 
-  std::size_t i = 0, j = 0;
-  double tx = 0.0, ty = 0.0;
-  bracket(xs, x, i, tx);
-  bracket(ys, y, j, ty);
-  const std::size_t i1 = std::min(i + 1, xs.size() - 1);
-  const std::size_t j1 = std::min(j + 1, ys.size() - 1);
-  const double v00 = table(i, j), v01 = table(i, j1);
-  const double v10 = table(i1, j), v11 = table(i1, j1);
-  return (1 - tx) * ((1 - ty) * v00 + ty * v01) + tx * ((1 - ty) * v10 + ty * v11);
+  Bilinear b;
+  b.rows = xs.size();
+  b.cols = ys.size();
+  bracket(xs, x, b.i, b.tx);
+  bracket(ys, y, b.j, b.ty);
+  b.i1 = std::min(b.i + 1, xs.size() - 1);
+  b.j1 = std::min(b.j + 1, ys.size() - 1);
+  return b;
+}
+
+double interp2(const Vec& xs, const Vec& ys, const Matrix& table, double x, double y) {
+  return bilinear(xs, ys, x, y)(table);
 }
 
 }  // namespace stco::numeric

@@ -118,13 +118,14 @@ inline constexpr std::array<std::string_view, 82> kMetricKeys = {
 
 /// Every canonical span name. Keep sorted. (Span names carry a `flow.`
 /// prefix for the library-build flows in addition to the metric layers.)
-inline constexpr std::array<std::string_view, 24> kSpanNames = {
+inline constexpr std::array<std::string_view, 25> kSpanNames = {
     "cells.characterize_cell",
     "charlib.build_dataset",
     "charlib.build_dataset_resumable",
     "exec.parallel_for",
     "flow.build_library_gnn",
     "flow.build_library_spice",
+    "flow.compile_sta",
     "gnn.epoch",
     "gnn.infer.compile",
     "gnn.infer.run",

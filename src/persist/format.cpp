@@ -42,10 +42,6 @@ void PayloadWriter::put_f64s(const std::vector<double>& v) {
   bytes_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double));
 }
 
-void PayloadWriter::put_raw(std::string_view bytes) {
-  bytes_.append(bytes.data(), bytes.size());
-}
-
 void PayloadReader::need(std::size_t n) const {
   if (remaining() < n) throw PayloadError("persist: payload overrun");
 }
@@ -91,13 +87,6 @@ std::vector<double> PayloadReader::get_f64s() {
   std::vector<double> v(n);
   std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(double));
   pos_ += n * sizeof(double);
-  return v;
-}
-
-std::string_view PayloadReader::get_raw(std::size_t n) {
-  need(n);
-  const std::string_view v = bytes_.substr(pos_, n);
-  pos_ += n;
   return v;
 }
 

@@ -58,7 +58,6 @@ class PayloadWriter {
   void put_f64(double v);
   void put_str(std::string_view s);             ///< u64 length + bytes
   void put_f64s(const std::vector<double>& v);  ///< u64 count + raw doubles
-  void put_raw(std::string_view bytes);         ///< no length prefix
 
   const std::string& bytes() const { return bytes_; }
   std::string take() { return std::move(bytes_); }
@@ -81,7 +80,6 @@ class PayloadReader {
   double get_f64();
   std::string get_str();
   std::vector<double> get_f64s();
-  std::string_view get_raw(std::size_t n);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool done() const { return pos_ == bytes_.size(); }

@@ -32,7 +32,8 @@ StcoEngine::StcoEngine(const StcoConfig& cfg, LibraryBackend backend,
     : cfg_(cfg),
       backend_(std::move(backend)),
       ctx_(&ctx),
-      netlist_(flow::make_benchmark(cfg.benchmark)) {
+      netlist_(flow::make_benchmark(cfg.benchmark)),
+      sta_plan_(netlist_) {
   const std::string dir = resolve_cache_dir(cfg_);
   if (!dir.empty()) {
     persist::default_storage().create_directories(dir);
@@ -178,7 +179,7 @@ flow::StaReport StcoEngine::evaluate(const compact::TechnologyPoint& tech) {
   const auto t1 = std::chrono::steady_clock::now();
   auto rep = [&] {
     obs::Span sta_span("stco.sta");
-    return flow::analyze(netlist_, lib, cfg_.sta_opts);
+    return flow::analyze(netlist_, sta_plan_, lib, cfg_.sta_opts);
   }();
   timing_.sta_seconds.fetch_add(seconds_since(t1));
   timing_.evaluations.fetch_add(1);

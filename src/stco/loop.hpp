@@ -160,6 +160,7 @@ class StcoEngine {
   LibraryBackend backend_;
   const exec::Context* ctx_;
   flow::GateNetlist netlist_;
+  flow::StaPlan sta_plan_;  ///< compiled once; netlist_ never changes
   StcoTiming timing_;
   PpaWeights weights_{};
   /// Weight calibration state (mutex + flag instead of std::once_flag so a

@@ -9,6 +9,7 @@
 #include "src/cells/characterize.hpp"
 #include "src/charlib/dataset.hpp"
 #include "src/exec/context.hpp"
+#include "src/flow/liberty.hpp"
 #include "src/gnn/trainer.hpp"
 #include "src/surrogate/dataset.hpp"
 #include "src/tensor/ops.hpp"
@@ -103,6 +104,47 @@ TEST(Determinism, CharlibDatasetBitIdentical) {
   // on_progress fired once per corner, counting 1..N.
   ASSERT_EQ(progress.size(), corners.size());
   for (std::size_t i = 0; i < progress.size(); ++i) EXPECT_EQ(progress[i], i + 1);
+}
+
+TEST(Determinism, GnnLibraryBitIdenticalAcrossThreadCounts) {
+  // The GNN library is one batched forward whose graphs run as tasks on the
+  // context; an untrained model with unit normalization predicts finite
+  // values, which is all the comparison needs.
+  charlib::CellCharModel model;
+  model.fit_normalization({});
+  flow::LibraryBuildOptions opts;
+  opts.slew_axis = {10e-9, 40e-9};
+  opts.load_axis = {20e-15, 100e-15};
+  const auto tech = compact::cnt_tech();
+  const auto serial = flow::build_library_gnn(model, tech, opts);
+  auto same = [&](const flow::TimingLibrary& lib) {
+    ASSERT_EQ(serial.cells.size(), lib.cells.size());
+    for (const auto& [name, a] : serial.cells) {
+      SCOPED_TRACE(name);
+      const auto& b = lib.cell(name);
+      auto entries = [](const numeric::Matrix& m) {
+        return std::vector<double>(m.data(), m.data() + m.size());
+      };
+      EXPECT_EQ(entries(a.delay), entries(b.delay));  // bitwise, not NEAR
+      EXPECT_EQ(entries(a.out_slew), entries(b.out_slew));
+      EXPECT_EQ(a.input_cap, b.input_cap);
+      EXPECT_EQ(a.leakage, b.leakage);
+      EXPECT_EQ(a.flip_energy, b.flip_energy);
+      EXPECT_EQ(a.nonflip_energy, b.nonflip_energy);
+    }
+    EXPECT_EQ(serial.dff_clk2q, lib.dff_clk2q);
+    EXPECT_EQ(serial.dff_setup, lib.dff_setup);
+    EXPECT_EQ(serial.dff_cap, lib.dff_cap);
+    EXPECT_EQ(serial.dff_leakage, lib.dff_leakage);
+    EXPECT_EQ(serial.dff_flip_energy, lib.dff_flip_energy);
+    EXPECT_EQ(serial.complete, lib.complete);
+  };
+  for (const std::size_t threads : {1u, 7u}) {
+    SCOPED_TRACE(threads);
+    exec::Context ctx(threads);
+    same(flow::build_library_gnn(model, tech, opts, ctx));
+    EXPECT_GT(ctx.stats().tasks_run, 0u);
+  }
 }
 
 TEST(Determinism, PopulationBitIdenticalAcrossThreadCounts) {
