@@ -5,7 +5,6 @@
 // can distinguish a genuinely singular system from an exhausted iteration
 // budget, and so the recovery ladders can report what they consumed.
 
-#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -17,7 +16,7 @@ enum class SolveReason {
   kMaxIterations,     ///< iteration cap hit without convergence
   kSingularJacobian,  ///< linear system singular to working precision
   kNanResidual,       ///< NaN/Inf appeared in the residual or update
-  kBudgetExceeded,    ///< overall iteration / wall-clock budget exhausted
+  kBudgetExceeded,    ///< overall iteration budget exhausted
 };
 
 const char* to_string(SolveReason r);
@@ -36,37 +35,26 @@ struct [[nodiscard]] SolveStatus {
   std::string describe() const;
 };
 
-/// Shared iteration / wall-clock budget for a retry ladder. A zero limit
-/// disables that dimension. One budget can span many solves (e.g. every
-/// Newton attempt of a whole transient run) so a pathological circuit
-/// cannot consume unbounded time ramping gmin forever.
+/// Shared iteration budget for a retry ladder; a zero limit is unlimited.
+/// One budget can span many solves (e.g. every Newton attempt of a whole
+/// transient run) so a pathological circuit cannot consume unbounded time
+/// ramping gmin forever. Counting iterations rather than seconds keeps
+/// every solver result independent of machine speed.
 class SolveBudget {
  public:
   SolveBudget() = default;
-  SolveBudget(std::size_t max_iterations, double max_seconds)
-      : max_iterations_(max_iterations), max_seconds_(max_seconds) {}
+  explicit SolveBudget(std::size_t max_iterations) : max_iterations_(max_iterations) {}
 
   void charge(std::size_t iterations) { used_iterations_ += iterations; }
   std::size_t used_iterations() const { return used_iterations_; }
 
-  double elapsed_seconds() const {
-    // stco-lint: allow(nondet-clock-now) wall-clock budget is inherently timed
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
   bool exhausted() const {
-    if (max_iterations_ > 0 && used_iterations_ >= max_iterations_) return true;
-    if (max_seconds_ > 0.0 && elapsed_seconds() >= max_seconds_) return true;
-    return false;
+    return max_iterations_ > 0 && used_iterations_ >= max_iterations_;
   }
 
  private:
   std::size_t max_iterations_ = 0;  ///< 0 = unlimited
-  double max_seconds_ = 0.0;        ///< 0 = unlimited
   std::size_t used_iterations_ = 0;
-  // stco-lint: allow(nondet-clock-now) wall-clock budget is inherently timed
-  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
 /// Counters describing how often the recovery machinery fired. Aggregated

@@ -345,7 +345,7 @@ numeric::SolveStatus newton_robust(System& sys, double t, numeric::Vec& x,
 }
 
 numeric::SolveBudget budget_of(const RetryPolicy& rp) {
-  return numeric::SolveBudget(rp.iteration_budget, rp.wall_clock_budget);
+  return numeric::SolveBudget(rp.iteration_budget);
 }
 
 void unpack(const System& sys, const numeric::Vec& x, numeric::Vec& node_v,

@@ -24,8 +24,8 @@ namespace stco::spice {
 /// systems — ramps the independent sources from 0 to full value in
 /// `source_steps` homotopy stages. Each failed stage is re-attempted with a
 /// tightened per-iteration update limit before the ladder moves on. An
-/// overall iteration / wall-clock budget bounds the whole ladder (and, for
-/// transients, the whole run).
+/// overall iteration budget bounds the whole ladder (and, for transients,
+/// the whole run).
 struct RetryPolicy {
   bool enabled = true;
   double gmin_start = 1e-3;        ///< initial elevated gmin [S]
@@ -35,7 +35,6 @@ struct RetryPolicy {
   std::size_t damping_attempts = 2;///< tightened re-attempts per stage
   double min_update_limit = 0.02;  ///< update-limit floor [V]
   std::size_t iteration_budget = 200000;  ///< total Newton iterations; 0 = unlimited
-  double wall_clock_budget = 0.0;         ///< seconds; 0 = unlimited
 };
 
 struct EngineOptions {

@@ -8,6 +8,7 @@
 #include "src/numeric/sparse.hpp"
 #include "src/numeric/workspace.hpp"
 #include "src/obs/obs.hpp"
+#include "src/tcad/recovery.hpp"
 
 namespace stco::tcad {
 
@@ -20,12 +21,10 @@ double bernoulli(double x) {
 
 namespace {
 
-double clamped_exp(double x, double clamp) {
-  return std::exp(std::clamp(x, -clamp, clamp));
-}
-
-/// Geometry shared with the Poisson solver: finite-volume edge weight
-/// (face length / distance, per unit depth) and node control area.
+/// Finite-volume geometry of the Gummel loop: edge weight (face length /
+/// distance, per unit depth) and node control area. The Poisson solver
+/// computes the same quantities inline as kEps0*eh*face/dist, a different
+/// rounding order from kEps0*eh*(face/dist) here, so the two stay apart.
 struct Geometry {
   const mesh::DeviceMesh& m;
   double face_over_dist(std::size_t ix_a, std::size_t iy_a,
@@ -49,33 +48,6 @@ void contact_densities(double ni, double doping, double& n_eq, double& p_eq) {
   const double half = 0.5 * doping;
   n_eq = half + std::sqrt(half * half + ni * ni);
   p_eq = ni * ni / n_eq;
-}
-
-/// Copy of `m` with the contact Dirichlet potentials re-pinned for bias
-/// `b` (geometry is bias-independent; see build_mesh).
-mesh::DeviceMesh rebias_mesh(const mesh::DeviceMesh& m, const TftDevice& dev,
-                             const Bias& b) {
-  mesh::DeviceMesh out = m;
-  for (std::size_t i = 0; i < out.num_nodes(); ++i) {
-    auto& nd = out.node(i);
-    if (!nd.dirichlet) continue;
-    switch (nd.region) {
-      case mesh::Region::kGate: nd.dirichlet_value = b.vg - dev.semi.flatband; break;
-      case mesh::Region::kSource: nd.dirichlet_value = b.vs + dev.contact_phi; break;
-      case mesh::Region::kDrain: nd.dirichlet_value = b.vd + dev.contact_phi; break;
-      default: break;
-    }
-  }
-  return out;
-}
-
-/// Bias scaled a fraction `f` of the way from the all-at-vs point to `b`.
-Bias bias_fraction(const Bias& b, double f) {
-  Bias out;
-  out.vg = b.vs + f * (b.vg - b.vs);
-  out.vd = b.vs + f * (b.vd - b.vs);
-  out.vs = b.vs;
-  return out;
 }
 
 /// One Gummel solve at a fixed bias. `warm` (when non-null) seeds the
@@ -397,15 +369,12 @@ DriftDiffusionSolution solve_dd_once(const TftDevice& dev, const Bias& bias,
   return sol;
 }
 
-}  // namespace
-
 DriftDiffusionSolution solve_drift_diffusion_ladder(const TftDevice& dev,
                                                     const Bias& bias,
                                                     const mesh::DeviceMesh& m,
                                                     const DriftDiffusionOptions& opts,
                                                     const exec::Context& ctx) {
-  const ContinuationPolicy& cp = opts.continuation;
-  numeric::SolveBudget budget(cp.iteration_budget, cp.wall_clock_budget);
+  numeric::SolveBudget budget(opts.continuation.iteration_budget);
   // Two workspaces shared by every continuation stage: the Poisson system
   // on all nodes and the continuity system on the semiconductor sub-mesh.
   numeric::NewtonWorkspace ws_poisson;
@@ -413,79 +382,39 @@ DriftDiffusionSolution solve_drift_diffusion_ladder(const TftDevice& dev,
   // Continuation progress: one unit per fixed-bias Gummel solve (direct
   // attempt or continuation stage), shared with the Poisson ladder.
   static obs::ProgressTask& prog = obs::progress("tcad.continuation.stages");
+  auto once = [&](const Bias& b, const mesh::DeviceMesh& mb,
+                  const DriftDiffusionSolution* warm) {
+    prog.add_work(1);
+    DriftDiffusionSolution s =
+        solve_dd_once(dev, b, mb, opts, warm, budget, ws_poisson, ws_continuity, ctx);
+    prog.advance();
+    return s;
+  };
 
-  prog.add_work(1);
-  DriftDiffusionSolution sol = solve_dd_once(dev, bias, m, opts, nullptr, budget,
-                                             ws_poisson, ws_continuity, ctx);
-  prog.advance();
+  DriftDiffusionSolution sol = once(bias, m, nullptr);
   ++sol.stats.attempts;
   if (sol.converged) {
     ++sol.stats.direct_success;
     return sol;
   }
-  if (!cp.enabled || cp.max_subdivisions == 0) {
-    ++sol.stats.failures;
-    return sol;
-  }
-
-  // Bias continuation: walk from zero bias toward the target, handing each
-  // converged state (potential + carriers) to the next stage as its warm
-  // start, halving the bias step on divergence.
+  // Each continuation stage warm-starts from the last converged state
+  // (potential + carriers); a cold stage's Poisson initializer counters
+  // are merged in.
   numeric::RobustnessStats stats = sol.stats;
-  numeric::SolveStatus total = sol.status;
-  const double min_step = 1.0 / static_cast<double>(std::size_t{1} << cp.max_subdivisions);
-  double f = 0.0, step = 0.5;
-  DriftDiffusionSolution last = std::move(sol);
-  bool have_warm = false;
-  while (f < 1.0) {
-    if (budget.exhausted()) {
-      ++stats.budget_exhausted;
-      ++stats.failures;
-      last.converged = false;
-      last.status = total;
-      last.status.reason = numeric::SolveReason::kBudgetExceeded;
-      last.stats = stats;
-      return last;
-    }
-    const double f_try = std::min(1.0, f + step);
-    const Bias b = bias_fraction(bias, f_try);
-    const mesh::DeviceMesh mb = rebias_mesh(m, dev, b);
-    prog.add_work(1);
-    DriftDiffusionSolution sub = solve_dd_once(dev, b, mb, opts,
-                                               have_warm ? &last : nullptr, budget,
-                                               ws_poisson, ws_continuity, ctx);
-    prog.advance();
-    ++stats.continuation_retries;
-    ++total.retries;
-    total.iterations += sub.status.iterations;
-    total.residual = sub.status.residual;
-    stats.merge(sub.stats);
-    if (sub.converged) {
-      f = f_try;
-      last = std::move(sub);
-      have_warm = true;
-      step = std::min(2.0 * step, 0.5);
-    } else {
-      step *= 0.5;
-      if (step < min_step) {
-        ++stats.failures;
-        last = std::move(sub);
-        last.converged = false;
-        total.reason = last.status.reason;
-        last.status = total;
-        last.stats = stats;
-        return last;
-      }
-    }
-  }
-
-  ++stats.recovered;
-  total.reason = numeric::SolveReason::kOk;
-  last.status = total;
-  last.stats = stats;
-  last.converged = true;
-  return last;
+  const numeric::SolveStatus direct = sol.status;
+  sol = continuation_walk(std::move(sol), direct, opts.continuation, budget, stats,
+                          [&](double f, const DriftDiffusionSolution* last) {
+                            const Bias b = bias_fraction(bias, f);
+                            DriftDiffusionSolution s = once(b, rebias_mesh(m, dev, b), last);
+                            stats.merge(s.stats);
+                            return s;
+                          });
+  sol.converged = sol.status.ok();
+  sol.stats = stats;
+  return sol;
 }
+
+}  // namespace
 
 DriftDiffusionSolution solve_drift_diffusion(const TftDevice& dev, const Bias& bias,
                                              const mesh::DeviceMesh& m,

@@ -8,14 +8,11 @@
 #include "src/numeric/sparse.hpp"
 #include "src/numeric/workspace.hpp"
 #include "src/obs/obs.hpp"
+#include "src/tcad/recovery.hpp"
 
 namespace stco::tcad {
 
 namespace {
-
-double clamped_exp(double x, double clamp) {
-  return std::exp(std::clamp(x, -clamp, clamp));
-}
 
 /// Relative permittivity at a node.
 double node_eps(const mesh::MeshNode& n, const TftDevice& dev) {
@@ -25,34 +22,6 @@ double node_eps(const mesh::MeshNode& n, const TftDevice& dev) {
     case mesh::Material::kMetal: return 1.0;  // unused: metal rows are Dirichlet
   }
   return 1.0;
-}
-
-/// Copy of `m` with the contact Dirichlet potentials re-pinned for bias
-/// `b`. Mesh geometry is bias-independent (see build_mesh), so this is all
-/// a continuation stage needs to evaluate an intermediate bias.
-mesh::DeviceMesh rebias_mesh(const mesh::DeviceMesh& m, const TftDevice& dev,
-                             const Bias& b) {
-  mesh::DeviceMesh out = m;
-  for (std::size_t i = 0; i < out.num_nodes(); ++i) {
-    auto& nd = out.node(i);
-    if (!nd.dirichlet) continue;
-    switch (nd.region) {
-      case mesh::Region::kGate: nd.dirichlet_value = b.vg - dev.semi.flatband; break;
-      case mesh::Region::kSource: nd.dirichlet_value = b.vs + dev.contact_phi; break;
-      case mesh::Region::kDrain: nd.dirichlet_value = b.vd + dev.contact_phi; break;
-      default: break;
-    }
-  }
-  return out;
-}
-
-/// Bias scaled a fraction `f` of the way from the all-at-vs point to `b`.
-Bias bias_fraction(const Bias& b, double f) {
-  Bias out;
-  out.vg = b.vs + f * (b.vg - b.vs);
-  out.vd = b.vs + f * (b.vd - b.vs);
-  out.vs = b.vs;
-  return out;
 }
 
 /// One damped-Newton solve at a fixed bias. `warm_start` (when non-null)
@@ -266,8 +235,7 @@ PoissonSolution solve_poisson_ladder(const TftDevice& dev, const Bias& bias,
                                      const mesh::DeviceMesh& m,
                                      const PoissonOptions& opts,
                                      const exec::Context& ctx) {
-  const ContinuationPolicy& cp = opts.continuation;
-  numeric::SolveBudget budget(cp.iteration_budget, cp.wall_clock_budget);
+  numeric::SolveBudget budget(opts.continuation.iteration_budget);
   // One workspace for the whole ladder: continuation stages share the mesh
   // geometry, so the Jacobian pattern — and often the ILU factors — carry
   // over between stages.
@@ -281,80 +249,31 @@ PoissonSolution solve_poisson_ladder(const TftDevice& dev, const Bias& bias,
   // (direct attempt or continuation stage), announced before it runs so
   // large-mesh dataset builds report rate/ETA while solves are in flight.
   static obs::ProgressTask& prog = obs::progress("tcad.continuation.stages");
+  auto once = [&](const Bias& b, const mesh::DeviceMesh& mb, const numeric::Vec* warm) {
+    prog.add_work(1);
+    PoissonSolution s = solve_poisson_once(dev, b, mb, opts, warm, budget, ws, ctx, row_jac);
+    prog.advance();
+    return s;
+  };
 
-  // Direct attempt at the target bias.
-  prog.add_work(1);
-  PoissonSolution sol =
-      solve_poisson_once(dev, bias, m, opts, nullptr, budget, ws, ctx, row_jac);
-  prog.advance();
+  PoissonSolution sol = once(bias, m, nullptr);
   ++sol.stats.attempts;
   if (sol.converged) {
     ++sol.stats.direct_success;
     return sol;
   }
-  if (!cp.enabled || cp.max_subdivisions == 0) {
-    ++sol.stats.failures;
-    return sol;
-  }
-
-  // Bias continuation: walk from zero bias toward the target, warm-starting
-  // each stage from the previous converged potential, halving the step on
-  // divergence.
+  // Each continuation stage warm-starts from the last converged potential.
   numeric::RobustnessStats stats = sol.stats;
-  numeric::SolveStatus total = sol.status;
-  const double min_step = 1.0 / static_cast<double>(std::size_t{1} << cp.max_subdivisions);
-  double f = 0.0, step = 0.5;
-  numeric::Vec warm;
-  PoissonSolution last = std::move(sol);
-  while (f < 1.0) {
-    if (budget.exhausted()) {
-      ++stats.budget_exhausted;
-      ++stats.failures;
-      last.converged = false;
-      last.status = total;
-      last.status.reason = numeric::SolveReason::kBudgetExceeded;
-      last.stats = stats;
-      return last;
-    }
-    const double f_try = std::min(1.0, f + step);
-    const Bias b = bias_fraction(bias, f_try);
-    const mesh::DeviceMesh mb = rebias_mesh(m, dev, b);
-    prog.add_work(1);
-    PoissonSolution sub =
-        solve_poisson_once(dev, b, mb, opts, warm.empty() ? nullptr : &warm,
-                           budget, ws, ctx, row_jac);
-    prog.advance();
-    ++stats.continuation_retries;
-    ++total.retries;
-    total.iterations += sub.status.iterations;
-    total.residual = sub.status.residual;
-    if (sub.converged) {
-      f = f_try;
-      warm = sub.potential;
-      last = std::move(sub);
-      step = std::min(2.0 * step, 0.5);
-    } else {
-      step *= 0.5;
-      if (step < min_step) {
-        ++stats.failures;
-        last = std::move(sub);
-        last.converged = false;
-        total.reason = last.status.reason;
-        last.status = total;
-        last.stats = stats;
-        return last;
-      }
-    }
-  }
-
-  // The final stage solved at f = 1, i.e. the target bias on the original
-  // boundary conditions.
-  ++stats.recovered;
-  total.reason = numeric::SolveReason::kOk;
-  last.status = total;
-  last.stats = stats;
-  last.converged = true;
-  return last;
+  const numeric::SolveStatus direct = sol.status;
+  sol = continuation_walk(std::move(sol), direct, opts.continuation, budget, stats,
+                          [&](double f, const PoissonSolution* last) {
+                            const Bias b = bias_fraction(bias, f);
+                            return once(b, rebias_mesh(m, dev, b),
+                                        last ? &last->potential : nullptr);
+                          });
+  sol.converged = sol.status.ok();
+  sol.stats = stats;
+  return sol;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "src/numeric/solve.hpp"
 #include "src/numeric/workspace.hpp"
 #include "src/obs/obs.hpp"
+#include "src/tcad/recovery.hpp"
 
 namespace stco::tcad {
 
@@ -74,8 +75,6 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
     return 0.5 * dyo;
   };
 
-  auto cexp = [&](double x) { return std::exp(std::clamp(x, -clamp, clamp)); };
-
   numeric::Vec dphi;
   for (std::size_t it = 0; it < opts.max_newton; ++it) {
     if (budget.exhausted()) {
@@ -112,8 +111,8 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
       }
       // Space charge in the film.
       if (i <= n_film) {
-        const double nn = ni * cexp((phi[i] - v_channel) / vt);
-        const double pp = ni * cexp((v_channel - phi[i]) / vt);
+        const double nn = ni * clamped_exp((phi[i] - v_channel) / vt, clamp);
+        const double pp = ni * clamped_exp((v_channel - phi[i]) / vt, clamp);
         const double dy_i = (i == n_film) ? 0.5 * dyf  // film half of the interface cell
                                           : node_dy(i);
         f += kQ * (pp - nn + dev.doping) * dy_i;
@@ -147,8 +146,8 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
   double qs = 0.0;
   const bool ntype = dev.semi.carrier == CarrierType::kNType;
   for (std::size_t i = 0; i <= n_film; ++i) {
-    const double nn = ni * cexp((phi[i] - v_channel) / vt);
-    const double pp = ni * cexp((v_channel - phi[i]) / vt);
+    const double nn = ni * clamped_exp((phi[i] - v_channel) / vt, clamp);
+    const double pp = ni * clamped_exp((v_channel - phi[i]) / vt, clamp);
     const double dy_i = (i == n_film) ? 0.5 * dyf : node_dy(i);
     qs += kQ * (ntype ? nn : pp) * dy_i;
   }
@@ -160,90 +159,55 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
 }
 
 /// Slice solve with the recovery ladder: direct attempt, tightened damping,
-/// then gate-bias continuation from the flat (vg = v_channel) slice with a
-/// warm-started potential.
+/// then gate-bias continuation from the flat (vg = v_channel) slice.
 SliceResult solve_slice_robust(const TftDevice& dev, double vg, double v_channel,
                                const TransportOptions& opts,
                                numeric::SolveBudget& budget,
                                numeric::RobustnessStats& stats,
                                numeric::TridiagWorkspace& tws) {
   ++stats.attempts;
-  SliceResult direct =
-      solve_slice_once(dev, vg, v_channel, opts, 1.0, nullptr, budget, tws);
-  if (direct.status.ok()) {
+  SliceResult r = solve_slice_once(dev, vg, v_channel, opts, 1.0, nullptr, budget, tws);
+  if (r.status.ok()) {
     ++stats.direct_success;
-    return direct;
-  }
-  numeric::SolveStatus total = direct.status;
-  auto fail = [&](SliceResult r, numeric::SolveReason reason) {
-    ++stats.failures;
-    total.reason = reason;
-    r.status = total;
     return r;
-  };
-  if (!opts.continuation.enabled)
-    return fail(std::move(direct), direct.status.reason);
+  }
+  numeric::SolveStatus total = r.status;
 
-  // Damping escalation.
+  // Damping escalation. A disabled policy or an exhausted budget falls
+  // through to the walk, which reports it.
   for (double cap : {0.25, 0.0625}) {
-    if (budget.exhausted()) {
-      ++stats.budget_exhausted;
-      return fail(std::move(direct), numeric::SolveReason::kBudgetExceeded);
-    }
+    if (!opts.continuation.enabled || budget.exhausted()) break;
     ++stats.damping_retries;
     ++total.retries;
-    SliceResult r = solve_slice_once(dev, vg, v_channel, opts, cap, nullptr, budget, tws);
-    total.iterations += r.status.iterations;
-    total.residual = r.status.residual;
-    if (r.status.ok()) {
+    SliceResult d = solve_slice_once(dev, vg, v_channel, opts, cap, nullptr, budget, tws);
+    total.iterations += d.status.iterations;
+    total.residual = d.status.residual;
+    if (d.status.ok()) {
       ++stats.recovered;
       total.reason = numeric::SolveReason::kOk;
-      r.status = total;
-      return r;
+      d.status = total;
+      return d;
     }
-    direct = std::move(r);
+    r = std::move(d);
   }
 
-  // Gate-bias continuation: ramp vg from the flat condition toward the
-  // target, warm-starting each stage from the last converged potential.
-  const double min_step =
-      1.0 / static_cast<double>(std::size_t{1} << opts.continuation.max_subdivisions);
-  double f = 0.0, step = 0.5;
+  // Gate-bias continuation. `phi` carries each stage's final potential —
+  // converged or not — into the next stage as its warm start, so the stage
+  // ignores the walk's last converged result.
   std::vector<double> phi;
-  SliceResult best = std::move(direct);
-  while (f < 1.0) {
-    if (budget.exhausted()) {
-      ++stats.budget_exhausted;
-      return fail(std::move(best), numeric::SolveReason::kBudgetExceeded);
-    }
-    const double f_try = std::min(1.0, f + step);
-    const double vg_f = v_channel + f_try * (vg - v_channel);
-    ++stats.continuation_retries;
-    ++total.retries;
-    SliceResult r = solve_slice_once(dev, vg_f, v_channel, opts, 0.25, &phi, budget, tws);
-    total.iterations += r.status.iterations;
-    total.residual = r.status.residual;
-    if (r.status.ok()) {
-      f = f_try;
-      best = std::move(r);
-      step = std::min(2.0 * step, 0.5);
-    } else {
-      step *= 0.5;
-      if (step < min_step) return fail(std::move(best), r.status.reason);
-    }
-  }
-  ++stats.recovered;
-  total.reason = numeric::SolveReason::kOk;
-  best.status = total;
-  return best;
+  return continuation_walk(std::move(r), total, opts.continuation, budget, stats,
+                           [&](double f, const SliceResult*) {
+                             const double vg_f = v_channel + f * (vg - v_channel);
+                             return solve_slice_once(dev, vg_f, v_channel, opts, 0.25,
+                                                     &phi, budget, tws);
+                           });
 }
 
 }  // namespace
 
 double sheet_charge(const TftDevice& dev, double vg, double v_channel,
                     const TransportOptions& opts) {
-  numeric::SolveBudget budget(opts.continuation.iteration_budget,
-                              opts.continuation.wall_clock_budget);
+  numeric::SolveBudget budget(opts.continuation.iteration_budget);
   numeric::RobustnessStats stats;
   numeric::TridiagWorkspace tws;
   return solve_slice_robust(dev, vg, v_channel, opts, budget, stats, tws).qs;
@@ -263,9 +227,6 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
                                       const TransportOptions& opts) {
   TransportResult out;
   out.status.reason = numeric::SolveReason::kOk;
-  const bool ntype = dev.semi.carrier == CarrierType::kNType;
-  // For a P-type device with negative vg/vd, work in mirrored coordinates:
-  // the slice solver handles sign through the Boltzmann factors directly.
   const double vd_mag = std::fabs(bias.vd - bias.vs);
   if (vd_mag == 0.0) return out;
   const double sgn_vd = (bias.vd - bias.vs) >= 0 ? 1.0 : -1.0;
@@ -275,8 +236,7 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
   const double mu0 = dev.semi.mu0;
   const double gamma = dev.semi.gamma;
 
-  numeric::SolveBudget budget(opts.continuation.iteration_budget,
-                              opts.continuation.wall_clock_budget);
+  numeric::SolveBudget budget(opts.continuation.iteration_budget);
   // One tridiagonal workspace for every slice of the sweep: all slices
   // share the same grid size, so the buffers never reallocate.
   numeric::TridiagWorkspace tws;
@@ -320,7 +280,6 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
     q_prev = qs;
     mu_prev = mu;
   }
-  (void)ntype;
   const double ion = (dev.width / dev.length) * integral;
   out.id = ion + srh_leakage(dev, vd_mag) + opts.gmin * vd_mag;
   return out;

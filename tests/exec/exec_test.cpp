@@ -103,7 +103,7 @@ TEST(Context, RequestCancelSkipsUnstartedIterations) {
 
 TEST(Context, ExhaustedBudgetReadsAsCancellationMidLadder) {
   Context ctx(2);
-  numeric::SolveBudget budget(/*max_iterations=*/8, /*max_seconds=*/0.0);
+  numeric::SolveBudget budget(/*max_iterations=*/8);
   std::atomic<std::size_t> ran{0};
   {
     BudgetScope scope(ctx, budget);

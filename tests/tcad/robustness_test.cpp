@@ -65,6 +65,37 @@ TEST(Robustness, PoissonContinuationRecoversSteepBias) {
   }
 }
 
+// When the bias step halves below 2^-max_subdivisions the walk gives up and
+// returns the last converged stage, carrying the failed stage's reason.
+// Here the f = 1/2 stage fails, f = 1/4 converges, and f = 3/4 and then
+// f = 1/2 fail again, so the step underflows with the 1/4 stage in hand.
+TEST(Robustness, PoissonStepUnderflowReturnsLastConvergedStage) {
+  const auto dev = small_device();
+  const Bias steep{3.0, 3.0, 0.0};
+  const auto mesh = build_mesh(dev, steep, 12, 4, 3);
+  PoissonOptions opts;
+  opts.max_newton = 10;
+  opts.continuation.max_subdivisions = 2;
+  const auto sol = solve_poisson(dev, steep, mesh, opts);
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.status.reason, numeric::SolveReason::kMaxIterations);
+  EXPECT_EQ(sol.stats.continuation_retries, 4u);
+  EXPECT_EQ(sol.stats.failures, 1u);
+  EXPECT_EQ(sol.stats.recovered, 0u);
+  EXPECT_EQ(sol.stats.budget_exhausted, 0u);
+  EXPECT_TRUE(all_finite(sol.potential));
+  EXPECT_TRUE(all_finite(sol.electron_density));
+  // The fields are the converged quarter-bias stage: its own Newton solve
+  // finished early and its contacts sit on the quarter-bias values.
+  EXPECT_LT(sol.newton_iterations, opts.max_newton);
+  const auto quarter = rebias_mesh(mesh, dev, bias_fraction(steep, 0.25));
+  for (std::size_t i = 0; i < quarter.num_nodes(); ++i) {
+    if (quarter.node(i).dirichlet) {
+      EXPECT_NEAR(sol.potential[i], quarter.node(i).dirichlet_value, 1e-6);
+    }
+  }
+}
+
 // Continuation respects the shared iteration budget: exhausting it yields
 // a clean structured failure (no NaNs, reason names the budget) instead of
 // ramping forever.
@@ -125,6 +156,61 @@ TEST(Robustness, TransportBudgetExhaustionFailsClosed) {
   EXPECT_EQ(r.id, 0.0);
   EXPECT_EQ(r.status.reason, numeric::SolveReason::kBudgetExceeded);
   EXPECT_GE(r.stats.budget_exhausted, 1u);
+}
+
+// Transport: with the slice Newton cap squeezed, every slice fails its
+// direct attempt and both tightened-damping retries, and only the gate-bias
+// continuation walk recovers it. The recovered current matches the
+// unsqueezed one.
+TEST(Robustness, TransportSlicesRecoverThroughContinuation) {
+  const auto dev = small_device();
+  const Bias bias{5.0, 2.0, 0.0};
+  TransportOptions opts;
+  opts.max_newton = 8;
+  const auto r = drain_current_ex(dev, bias, opts);
+  const std::size_t slices = opts.integration_steps + 1;
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.status.reason, numeric::SolveReason::kOk);
+  EXPECT_EQ(r.stats.attempts, slices);
+  EXPECT_EQ(r.stats.direct_success, 0u);
+  EXPECT_EQ(r.stats.damping_retries, 2 * slices);
+  EXPECT_EQ(r.stats.recovered, slices);
+  EXPECT_EQ(r.stats.continuation_retries, 233u);
+  EXPECT_EQ(r.stats.failures, 0u);
+  EXPECT_EQ(r.stats.fallbacks, 0u);
+  const auto ref = drain_current_ex(dev, bias);
+  ASSERT_TRUE(ref.valid);
+  EXPECT_EQ(ref.stats.direct_success, slices);
+  EXPECT_NEAR(r.id, ref.id, 1e-6 * ref.id);
+}
+
+// Drift-diffusion: with the Gummel cycle cap squeezed, the direct solve
+// fails and the continuation walk recovers it at the target bias.
+TEST(Robustness, DriftDiffusionContinuationRecoversSteepBias) {
+  const auto dev = small_device();
+  const Bias bias{5.0, 1.0, 0.0};
+  const auto mesh = build_mesh(dev, bias, 10, 4, 3);
+  DriftDiffusionOptions opts;
+  opts.max_gummel = 40;
+  const auto sol = solve_drift_diffusion(dev, bias, mesh, opts);
+  ASSERT_TRUE(sol.converged);
+  EXPECT_EQ(sol.status.reason, numeric::SolveReason::kOk);
+  // Three ladder entries: the Gummel ladder itself plus the Poisson
+  // initializers of its two cold starts (the direct attempt and the first
+  // stage), which are the two direct successes.
+  EXPECT_EQ(sol.stats.attempts, 3u);
+  EXPECT_EQ(sol.stats.direct_success, 2u);
+  EXPECT_EQ(sol.stats.recovered, 1u);
+  EXPECT_EQ(sol.stats.continuation_retries, 4u);
+  EXPECT_EQ(sol.status.retries, 4u);
+  EXPECT_EQ(sol.stats.failures, 0u);
+  EXPECT_TRUE(all_finite(sol.potential));
+  EXPECT_TRUE(std::isfinite(sol.drain_current));
+  for (std::size_t i = 0; i < mesh.num_nodes(); ++i) {
+    if (mesh.node(i).dirichlet) {
+      EXPECT_NEAR(sol.potential[i], mesh.node(i).dirichlet_value, 1e-6);
+    }
+  }
 }
 
 // Drift-diffusion: budget exhaustion surfaces as a structured failure with

@@ -318,13 +318,13 @@ class Linter {
       if (has_call(code, fn))
         report(ln, "nondet-time",
                std::string("banned wall-clock source '") + fn +
-                   "()'; time belongs to src/obs (spans) or an explicit SolveBudget");
+                   "()'; time belongs to src/obs (spans)");
     }
   }
 
   // nondet-clock-now: argless std::chrono::*::now() outside src/obs and
-  // bench. Legitimate timing (budgets, span timestamps) is either owned by
-  // obs or carries a suppression stating why.
+  // bench. Legitimate timing (span timestamps, latency histograms) is
+  // either owned by obs or carries a suppression stating why.
   void rule_nondet_clock_now(std::size_t ln, const std::string& code) {
     for (const std::size_t pos : find_word(code, "now")) {
       const std::size_t after = skip_spaces(code, pos + 3);
