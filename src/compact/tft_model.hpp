@@ -14,6 +14,7 @@
 // iterations converge quadratically.
 
 #include <cstdint>
+#include <limits>
 
 namespace stco::compact {
 
@@ -41,9 +42,51 @@ struct TftEval {
   double gds = 0.0;  ///< dId/dVds
 };
 
+/// One device's parameters, validated once, with the bias-independent
+/// constants of the current model hoisted out. A P-type device is stored as
+/// its mirrored N-type twin (vth negated); evaluation mirrors the terminal
+/// voltages and the current. Netlists prepare each device once and evaluate
+/// it at every Newton iteration.
+struct TftDevice {
+  TftType type = TftType::kNType;
+  double vth = 1.0;     ///< N-type-equivalent threshold (-vth for P-type)
+  double gamma = 0.3;
+  double g1 = 1.3;      ///< gamma + 1
+  double vt_eff = 0.0;  ///< softplus scale ss_factor * kT/q [V]
+  double k = 0.0;       ///< (W/L) mu0 Cox
+  double lambda = 0.0;
+};
+
+/// Validate `p` and hoist its constants. Throws std::invalid_argument for
+/// gamma < 0 or nonpositive geometry.
+[[nodiscard]] TftDevice prepare_tft(const TftParams& p);
+
+/// One channel end's bias terms: the softplus overdrive f at argument
+/// `arg`, its slope df, f^(gamma+1) and f^gamma.
+struct ChannelEnd {
+  double arg = std::numeric_limits<double>::quiet_NaN();  ///< NaN: nothing held
+  double f = 0.0;
+  double df = 0.0;
+  double f_g1 = 0.0;
+  double f_gamma = 0.0;
+};
+
+/// The last terms one device instance computed at each channel end. A
+/// Newton loop often meets bitwise the same overdrive again at one end —
+/// a gate and source held on fixed rails — and the terms are a pure
+/// function of it, so reusing them changes no bit of the result.
+struct TftMemo {
+  ChannelEnd source;
+  ChannelEnd drain;
+};
+
 /// Evaluate the compact model. Terminal voltages are absolute node voltages
 /// (vg, vd, vs); source/drain are swapped internally when vds < 0 so the
-/// model is symmetric, like a physical TFT.
+/// model is symmetric, like a physical TFT. Reuses and updates the device
+/// instance's `memo`.
+TftEval evaluate_tft(const TftDevice& d, double vg, double vd, double vs, TftMemo& memo);
+
+/// prepare_tft, then evaluate with a fresh memo (validates on every call).
 TftEval evaluate_tft(const TftParams& p, double vg, double vd, double vs);
 
 /// Drain current only (convenience).

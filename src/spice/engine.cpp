@@ -19,30 +19,58 @@ struct WorkCap {
   double v_prev = 0.0;  ///< voltage across at previous accepted step
 };
 
-/// Cached dense LU of the MNA matrix. For a linear circuit (no TFTs) the
-/// matrix depends only on (gmin, use_caps, dt, integration method) — not on
-/// x, t, or the source values — so one factorization serves every Newton
-/// iteration and, in a fixed-step transient, every timestep.
-struct LuCache {
-  std::optional<numeric::DenseLu> lu;
+inline constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+/// A TFT resolved against its netlist: the compact model prepared once
+/// (validated, constants hoisted), its channel-end memo, and the device's
+/// solution rows and flat Jacobian offsets (kNoRow where a terminal is
+/// ground).
+struct WorkTft {
+  compact::TftDevice dev;
+  compact::TftMemo memo;
+  std::size_t d, g, s;                 ///< drain/gate/source solution rows
+  std::size_t dd, dg, ds, sd, sg, ss;  ///< (row, column) offsets, row-major
+};
+
+/// The x-independent part of the MNA matrix — gmin, resistors, capacitor
+/// companion conductances, voltage-source incidence — stamped once per key
+/// (gmin, use_caps, dt, integration method). Each Newton iteration copies
+/// it and adds the TFT stamps last, as the full stamp always did, so every
+/// entry sums in the same order. For a TFT-free netlist it is the whole
+/// Jacobian, and `factored` says System::lu holds its factorization: one
+/// LU then serves every Newton iteration and, in a fixed-step transient,
+/// every timestep.
+struct LinearStamps {
+  numeric::Matrix a;
+  bool valid = false;
+  bool factored = false;
   double gmin = -1.0;
   double dt = -1.0;
   bool use_caps = false;
   bool trap = false;
 
   bool matches(double g, bool caps, double step, bool trapezoidal) const {
-    return lu.has_value() && gmin == g && use_caps == caps &&
+    return valid && gmin == g && use_caps == caps &&
            (!caps || (dt == step && trap == trapezoidal));
   }
 };
 
+/// One analysis' circuit and Newton workspace. Owned by one transient or
+/// DC call, never shared: newton_once reuses its buffers and allocates
+/// nothing per iteration.
 struct System {
   const Netlist* nl = nullptr;
   std::size_t nn = 0;   ///< nodes including ground
   std::size_t nv = 0;   ///< voltage sources
   std::size_t dim = 0;  ///< (nn - 1) + nv
   std::vector<WorkCap> caps;
-  LuCache lu_cache;     ///< valid only for TFT-free (linear) netlists
+  std::vector<WorkTft> tfts;
+  LinearStamps linear;
+  numeric::Matrix a;        ///< this iteration's Jacobian (TFT netlists)
+  numeric::Vec rhs_linear;  ///< x-independent right-hand side of one solve
+  numeric::Vec rhs;
+  numeric::Vec x_new;
+  numeric::DenseLu lu;
 
   std::size_t row_of_node(NodeId n) const { return n - 1; }  // n > 0
   std::size_t row_of_src(std::size_t j) const { return nn - 1 + j; }
@@ -60,6 +88,24 @@ System make_system(const Netlist& nl) {
     s.caps.push_back({t.gate, t.source, cg});
     s.caps.push_back({t.gate, t.drain, cg});
   }
+  auto row = [&](NodeId n) { return n == kGround ? kNoRow : s.row_of_node(n); };
+  auto at = [&](std::size_t r, std::size_t c) {
+    return r == kNoRow || c == kNoRow ? kNoRow : r * s.dim + c;
+  };
+  for (const auto& t : nl.tfts()) {
+    WorkTft w;
+    w.dev = compact::prepare_tft(t.params);
+    w.d = row(t.drain);
+    w.g = row(t.gate);
+    w.s = row(t.source);
+    w.dd = at(w.d, w.d);
+    w.dg = at(w.d, w.g);
+    w.ds = at(w.d, w.s);
+    w.sd = at(w.s, w.d);
+    w.sg = at(w.s, w.g);
+    w.ss = at(w.s, w.s);
+    s.tfts.push_back(w);
+  }
   return s;
 }
 
@@ -70,24 +116,126 @@ struct NewtonKnobs {
   double source_scale = 1.0;  ///< independent-source homotopy factor [0, 1]
 };
 
+/// Companion conductance of one capacitor; shared by the matrix and the
+/// right-hand side stamps.
+double cap_geq(const WorkCap& c, double dt, bool trapezoidal) {
+  return (trapezoidal ? 2.0 : 1.0) * c.c / dt;
+}
+
+/// Restamp sys.linear unless it already holds this key.
+void stamp_linear(System& sys, double gmin, bool use_caps, double dt,
+                  bool trapezoidal) {
+  LinearStamps& lin = sys.linear;
+  if (lin.matches(gmin, use_caps, dt, trapezoidal)) return;
+  lin.a.resize(sys.dim, sys.dim);
+  numeric::Matrix& a = lin.a;
+  auto stamp_g = [&](NodeId n1, NodeId n2, double g) {
+    if (n1 != kGround) a(sys.row_of_node(n1), sys.row_of_node(n1)) += g;
+    if (n2 != kGround) a(sys.row_of_node(n2), sys.row_of_node(n2)) += g;
+    if (n1 != kGround && n2 != kGround) {
+      a(sys.row_of_node(n1), sys.row_of_node(n2)) -= g;
+      a(sys.row_of_node(n2), sys.row_of_node(n1)) -= g;
+    }
+  };
+  // gmin to ground on every non-ground node (ladder may elevate it).
+  for (NodeId n = 1; n < sys.nn; ++n) a(sys.row_of_node(n), sys.row_of_node(n)) += gmin;
+  for (const auto& r : sys.nl->resistors()) stamp_g(r.n1, r.n2, 1.0 / r.r);
+  if (use_caps)
+    for (const auto& c : sys.caps)
+      if (c.c > 0.0) stamp_g(c.n1, c.n2, cap_geq(c, dt, trapezoidal));
+  // Voltage-source incidence; the source value is pure right-hand side.
+  for (std::size_t j = 0; j < sys.nv; ++j) {
+    const auto& src = sys.nl->vsources()[j];
+    const std::size_t rs = sys.row_of_src(j);
+    if (src.pos != kGround) {
+      a(sys.row_of_node(src.pos), rs) += 1.0;
+      a(rs, sys.row_of_node(src.pos)) += 1.0;
+    }
+    if (src.neg != kGround) {
+      a(sys.row_of_node(src.neg), rs) -= 1.0;
+      a(rs, sys.row_of_node(src.neg)) -= 1.0;
+    }
+  }
+  lin.valid = true;
+  lin.factored = false;
+  lin.gmin = gmin;
+  lin.use_caps = use_caps;
+  lin.dt = dt;
+  lin.trap = trapezoidal;
+}
+
+/// The x-independent right-hand side of one Newton solve: independent
+/// sources at time t and the capacitor companion currents.
+void stamp_linear_rhs(System& sys, double t, bool use_caps, double dt,
+                      bool trapezoidal, double source_scale) {
+  numeric::Vec& rhs = sys.rhs_linear;
+  rhs.assign(sys.dim, 0.0);
+  // Current `amps` flowing out of node n1 into n2 through the element.
+  auto stamp_i = [&](NodeId n1, NodeId n2, double amps) {
+    if (n1 != kGround) rhs[sys.row_of_node(n1)] -= amps;
+    if (n2 != kGround) rhs[sys.row_of_node(n2)] += amps;
+  };
+  // Independent current sources: i(t) flows from -> to (injects at `to`).
+  for (const auto& is : sys.nl->isources())
+    stamp_i(is.from, is.to, source_scale * is.wave.at(t));
+  if (use_caps) {
+    for (const auto& c : sys.caps) {
+      if (c.c <= 0.0) continue;
+      const double geq = cap_geq(c, dt, trapezoidal);
+      const double ieq = trapezoidal ? (geq * c.v_prev + c.i_prev) : (geq * c.v_prev);
+      // Companion current source ieq from n2 to n1 (opposes geq*v_prev).
+      stamp_i(c.n2, c.n1, ieq);
+    }
+  }
+  for (std::size_t j = 0; j < sys.nv; ++j)
+    rhs[sys.row_of_src(j)] = source_scale * sys.nl->vsources()[j].wave.at(t);
+}
+
+/// TFTs: Newton linearization around `x`, added to sys.a and sys.rhs.
+void stamp_tfts(System& sys, const numeric::Vec& x) {
+  double* a = sys.a.data();
+  numeric::Vec& rhs = sys.rhs;
+  auto v_of = [&](std::size_t row) { return row == kNoRow ? 0.0 : x[row]; };
+  for (WorkTft& t : sys.tfts) {
+    const double vg = v_of(t.g);
+    const double vd = v_of(t.d);
+    const double vs = v_of(t.s);
+    const auto e = compact::evaluate_tft(t.dev, vg, vd, vs, t.memo);
+    // Id flows drain -> source. Linear model:
+    //   id = Ieq + gm * vgs + gds * vds
+    const double ieq = e.id - e.gm * (vg - vs) - e.gds * (vd - vs);
+    // Conductance stamps.
+    if (t.d != kNoRow) {
+      a[t.dd] += e.gds;
+      if (t.dg != kNoRow) a[t.dg] += e.gm;
+      if (t.ds != kNoRow) a[t.ds] -= (e.gds + e.gm);
+    }
+    if (t.s != kNoRow) {
+      if (t.sd != kNoRow) a[t.sd] -= e.gds;
+      if (t.sg != kNoRow) a[t.sg] -= e.gm;
+      a[t.ss] += (e.gds + e.gm);
+    }
+    if (t.d != kNoRow) rhs[t.d] -= ieq;
+    if (t.s != kNoRow) rhs[t.s] += ieq;
+  }
+}
+
 /// One Newton solve of the (possibly companion-augmented) nonlinear system.
 /// `use_caps` enables capacitor companion stamps with time step `dt`.
 /// `x` carries the initial guess in/out.
 numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
                                  bool use_caps, double dt, bool trapezoidal,
                                  const EngineOptions& opts, const NewtonKnobs& knobs) {
-  const Netlist& nl = *sys.nl;
   const std::size_t dim = sys.dim;
 
   // TFT-free circuits have an x-independent MNA matrix: sources, companion
   // currents, and the homotopy scale only move the right-hand side.
-  const bool cacheable = nl.tfts().empty();
+  const bool linear_only = sys.tfts.empty();
   static obs::Counter& lu_factors = obs::counter("spice.lu.factors");
   static obs::Counter& lu_reuses = obs::counter("spice.lu.reuses");
 
-  auto v_of = [&](const numeric::Vec& xx, NodeId n) -> double {
-    return n == kGround ? 0.0 : xx[sys.row_of_node(n)];
-  };
+  stamp_linear(sys, knobs.gmin, use_caps, dt, trapezoidal);
+  stamp_linear_rhs(sys, t, use_caps, dt, trapezoidal, knobs.source_scale);
 
   numeric::SolveStatus st;
   st.reason = numeric::SolveReason::kMaxIterations;
@@ -98,113 +246,25 @@ numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
 
   for (std::size_t it = 0; it < opts.max_newton; ++it) {
     st.iterations = it + 1;
-    const bool reuse_lu =
-        cacheable && sys.lu_cache.matches(knobs.gmin, use_caps, dt, trapezoidal);
-    numeric::Matrix a(reuse_lu ? 0 : dim, reuse_lu ? 0 : dim);
-    numeric::Vec rhs(dim, 0.0);
-
-    auto stamp_g = [&](NodeId n1, NodeId n2, double g) {
-      if (reuse_lu) return;
-      if (n1 != kGround) a(sys.row_of_node(n1), sys.row_of_node(n1)) += g;
-      if (n2 != kGround) a(sys.row_of_node(n2), sys.row_of_node(n2)) += g;
-      if (n1 != kGround && n2 != kGround) {
-        a(sys.row_of_node(n1), sys.row_of_node(n2)) -= g;
-        a(sys.row_of_node(n2), sys.row_of_node(n1)) -= g;
-      }
-    };
-    // Current `amps` flowing out of node n1 into n2 through the element.
-    auto stamp_i = [&](NodeId n1, NodeId n2, double amps) {
-      if (n1 != kGround) rhs[sys.row_of_node(n1)] -= amps;
-      if (n2 != kGround) rhs[sys.row_of_node(n2)] += amps;
-    };
-
-    // gmin to ground on every non-ground node (ladder may elevate it).
-    if (!reuse_lu)
-      for (NodeId n = 1; n < sys.nn; ++n)
-        a(sys.row_of_node(n), sys.row_of_node(n)) += knobs.gmin;
-
-    for (const auto& r : nl.resistors()) stamp_g(r.n1, r.n2, 1.0 / r.r);
-
-    // Independent current sources: i(t) flows from -> to (injects at `to`).
-    for (const auto& is : nl.isources())
-      stamp_i(is.from, is.to, knobs.source_scale * is.wave.at(t));
-
-    if (use_caps) {
-      for (const auto& c : sys.caps) {
-        if (c.c <= 0.0) continue;
-        const double geq = (trapezoidal ? 2.0 : 1.0) * c.c / dt;
-        const double ieq = trapezoidal ? (geq * c.v_prev + c.i_prev) : (geq * c.v_prev);
-        stamp_g(c.n1, c.n2, geq);
-        // Companion current source ieq from n2 to n1 (opposes geq*v_prev).
-        stamp_i(c.n2, c.n1, ieq);
-      }
-    }
-
-    // Voltage sources. The incidence entries live in the matrix; the source
-    // value itself is pure right-hand side.
-    for (std::size_t j = 0; j < sys.nv; ++j) {
-      const auto& src = nl.vsources()[j];
-      const std::size_t rs = sys.row_of_src(j);
-      if (!reuse_lu) {
-        if (src.pos != kGround) {
-          a(sys.row_of_node(src.pos), rs) += 1.0;
-          a(rs, sys.row_of_node(src.pos)) += 1.0;
-        }
-        if (src.neg != kGround) {
-          a(sys.row_of_node(src.neg), rs) -= 1.0;
-          a(rs, sys.row_of_node(src.neg)) -= 1.0;
-        }
-      }
-      rhs[rs] = knobs.source_scale * src.wave.at(t);
-    }
-
-    // TFTs: Newton linearization around the present x.
-    for (const auto& tft : nl.tfts()) {
-      const double vg = v_of(x, tft.gate);
-      const double vd = v_of(x, tft.drain);
-      const double vs = v_of(x, tft.source);
-      const auto e = compact::evaluate_tft(tft.params, vg, vd, vs);
-      // Id flows drain -> source. Linear model:
-      //   id = Ieq + gm * vgs + gds * vds
-      const double ieq = e.id - e.gm * (vg - vs) - e.gds * (vd - vs);
-      // Conductance stamps.
-      if (tft.drain != kGround) {
-        const std::size_t rd = sys.row_of_node(tft.drain);
-        a(rd, rd) += e.gds;
-        if (tft.gate != kGround) a(rd, sys.row_of_node(tft.gate)) += e.gm;
-        if (tft.source != kGround) a(rd, sys.row_of_node(tft.source)) -= (e.gds + e.gm);
-      }
-      if (tft.source != kGround) {
-        const std::size_t rsrc = sys.row_of_node(tft.source);
-        if (tft.drain != kGround) a(rsrc, sys.row_of_node(tft.drain)) -= e.gds;
-        if (tft.gate != kGround) a(rsrc, sys.row_of_node(tft.gate)) -= e.gm;
-        a(rsrc, rsrc) += (e.gds + e.gm);
-      }
-      stamp_i(tft.drain, tft.source, ieq);
-    }
-
-    numeric::Vec x_new;
-    if (reuse_lu) {
+    sys.rhs = sys.rhs_linear;
+    if (linear_only && sys.linear.factored) {
       lu_reuses.add(1);
-      x_new = sys.lu_cache.lu->solve(rhs);
     } else {
-      auto lu = numeric::DenseLu::factor(a);
-      if (!lu) {
+      const numeric::Matrix* jac = &sys.linear.a;
+      if (!linear_only) {
+        sys.a = sys.linear.a;
+        stamp_tfts(sys, x);
+        jac = &sys.a;
+      }
+      if (!sys.lu.refactor(*jac)) {
         st.reason = numeric::SolveReason::kSingularJacobian;
         return st;
       }
       lu_factors.add(1);
-      if (cacheable) {
-        sys.lu_cache.lu = std::move(lu);
-        sys.lu_cache.gmin = knobs.gmin;
-        sys.lu_cache.use_caps = use_caps;
-        sys.lu_cache.dt = dt;
-        sys.lu_cache.trap = trapezoidal;
-        x_new = sys.lu_cache.lu->solve(rhs);
-      } else {
-        x_new = lu->solve(rhs);
-      }
+      sys.linear.factored = linear_only;
     }
+    sys.lu.solve(sys.rhs, sys.x_new);
+    const numeric::Vec& x_new = sys.x_new;
 
     // Per-node voltage limiting (SPICE-style): each node moves at most
     // `limit` volts per iteration; branch currents follow freely. If the

@@ -154,12 +154,11 @@ PoissonSolution solve_poisson_once(const TftDevice& dev, const Bias& bias,
           const double c = coupling(i, j, horizontal, perp_edge_count);
           f_res[i] += c * (phi[j] - phi[i]);
           rj.add(i, i, -c);
-          if (!m.node(j).dirichlet) rj.add(i, j, c);
-          // Dirichlet neighbours contribute to the residual only; their
-          // dphi is handled by their identity rows (which give dphi = 0
-          // once converged; during iteration the pinned residual pulls
-          // them exactly onto the boundary value).
-          else rj.add(i, j, c);
+          // The column is stamped for Dirichlet neighbours too: their
+          // identity rows solve dphi_j = bc - phi_j, which is 0 once
+          // converged and during iteration pulls phi_j exactly onto the
+          // boundary value, so the coupling carries that step into row i.
+          rj.add(i, j, c);
         };
         const bool top_or_bottom = (iy == 0 || iy == m.ny() - 1);
         const bool left_or_right = (ix == 0 || ix == nx - 1);
