@@ -31,9 +31,9 @@ int main() {
          flow::make_benchmark(cfg.benchmark).num_flipflops());
 
   // Traditional path: every technology evaluation pays for SPICE
-  // characterization of the library. The exec::Context spreads arc
-  // characterizations and speculative candidate evaluations over worker
-  // threads; pass exec::Context::serial() (the default) to run inline.
+  // characterization of the library. The exec::Context spreads each
+  // library's characterizations over worker threads; pass
+  // exec::Context::serial() (the default) to run inline.
   exec::Context ctx(2);
   StcoEngine engine(cfg, SpiceBackend{}, ctx);
   printf("\nrunning RL exploration over a %zu^3 technology grid (%zu worker "

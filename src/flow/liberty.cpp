@@ -1,14 +1,19 @@
 #include "src/flow/liberty.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <iterator>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "src/charlib/encoder.hpp"
 #include "src/numeric/stats.hpp"
 #include "src/obs/obs.hpp"
+#include "src/persist/artifacts.hpp"
+#include "src/persist/manifest.hpp"
 
 namespace stco::flow {
 
@@ -232,6 +237,162 @@ TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
   }
   finalize_sequential(lib);
   return lib;
+}
+
+namespace {
+
+constexpr std::uint32_t kLibrarySchema = 1;
+
+void put_table(persist::PayloadWriter& w, const numeric::Matrix& m) {
+  w.put_f64s(std::vector<double>(m.data(), m.data() + m.size()));
+}
+
+// A table is stored without its shape: one row per slew, one column per load.
+numeric::Matrix get_table(persist::PayloadReader& r, std::size_t rows, std::size_t cols) {
+  const std::vector<double> v = r.get_f64s();
+  if (v.size() != rows * cols)
+    throw persist::PayloadError("library: table does not match its axes");
+  numeric::Matrix m(rows, cols);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// True when `lib` is what building (`tech`, `opts`) would give in shape:
+// the same point, cell set and axes.
+bool built_for(const TimingLibrary& lib, const compact::TechnologyPoint& tech,
+               const LibraryBuildOptions& opts) {
+  if (lib.tech.kind != tech.kind || !same_bits(lib.tech.vdd, tech.vdd) ||
+      !same_bits(lib.tech.vth, tech.vth) || !same_bits(lib.tech.cox, tech.cox))
+    return false;
+  const std::vector<std::string> cells = effective_cells(opts);
+  const std::set<std::string> names(cells.begin(), cells.end());
+  if (names.size() != lib.cells.size()) return false;
+  for (const auto& [name, ct] : lib.cells)
+    if (names.count(name) == 0 || ct.slew_axis != opts.slew_axis ||
+        ct.load_axis != opts.load_axis)
+      return false;
+  return true;
+}
+
+}  // namespace
+
+void put_library(persist::PayloadWriter& w, const TimingLibrary& lib) {
+  w.put_u8(static_cast<std::uint8_t>(lib.tech.kind));
+  w.put_f64(lib.tech.vdd);
+  w.put_f64(lib.tech.vth);
+  w.put_f64(lib.tech.cox);
+  w.put_u64(lib.cells.size());
+  for (const auto& [name, ct] : lib.cells) {
+    w.put_str(name);
+    w.put_f64s(ct.slew_axis);
+    w.put_f64s(ct.load_axis);
+    put_table(w, ct.delay);
+    put_table(w, ct.out_slew);
+    w.put_f64(ct.input_cap);
+    w.put_f64(ct.leakage);
+    w.put_f64(ct.flip_energy);
+    w.put_f64(ct.nonflip_energy);
+    w.put_u64(ct.transistors);
+  }
+  w.put_f64(lib.dff_clk2q);
+  w.put_f64(lib.dff_setup);
+  w.put_f64(lib.dff_cap);
+  w.put_f64(lib.dff_leakage);
+  w.put_f64(lib.dff_flip_energy);
+  persist::put_robustness(w, lib.robustness);
+  w.put_u64(lib.dropped_arcs);
+  w.put_u64(lib.incomplete_arcs);
+  w.put_u8(lib.complete ? 1 : 0);
+}
+
+TimingLibrary get_library(persist::PayloadReader& r) {
+  TimingLibrary lib;
+  lib.tech.kind = static_cast<tcad::SemiconductorKind>(r.get_u8());
+  lib.tech.vdd = r.get_f64();
+  lib.tech.vth = r.get_f64();
+  lib.tech.cox = r.get_f64();
+  const std::uint64_t n = r.get_u64();
+  if (n > r.remaining()) throw persist::PayloadError("library: cell count past the end");
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string name = r.get_str();
+    CellTiming ct;
+    ct.slew_axis = r.get_f64s();
+    ct.load_axis = r.get_f64s();
+    ct.delay = get_table(r, ct.slew_axis.size(), ct.load_axis.size());
+    ct.out_slew = get_table(r, ct.slew_axis.size(), ct.load_axis.size());
+    ct.input_cap = r.get_f64();
+    ct.leakage = r.get_f64();
+    ct.flip_energy = r.get_f64();
+    ct.nonflip_energy = r.get_f64();
+    ct.transistors = r.get_u64();
+    if (!lib.cells.emplace(std::move(name), std::move(ct)).second)
+      throw persist::PayloadError("library: repeated cell");
+  }
+  lib.dff_clk2q = r.get_f64();
+  lib.dff_setup = r.get_f64();
+  lib.dff_cap = r.get_f64();
+  lib.dff_leakage = r.get_f64();
+  lib.dff_flip_energy = r.get_f64();
+  lib.robustness = persist::get_robustness(r);
+  lib.dropped_arcs = r.get_u64();
+  lib.incomplete_arcs = r.get_u64();
+  lib.complete = r.get_u8() != 0;
+  return lib;
+}
+
+std::string library_path(const std::string& dir, const compact::TechnologyPoint& tech,
+                         const LibraryBuildOptions& opts) {
+  persist::Fingerprint fp;
+  fp.add_u64(static_cast<std::uint64_t>(tech.kind));
+  fp.add_f64(tech.vdd).add_f64(tech.vth).add_f64(tech.cox);
+  fp.add_u64(opts.cell_names.size());
+  for (const auto& name : opts.cell_names) fp.add_str(name);
+  fp.add_u64(opts.slew_axis.size());
+  for (double s : opts.slew_axis) fp.add_f64(s);
+  fp.add_u64(opts.load_axis.size());
+  for (double l : opts.load_axis) fp.add_f64(l);
+  fp.add_f64(opts.sizing.length).add_f64(opts.sizing.nfet_width);
+  fp.add_f64(opts.sizing.pfet_width);
+  fp.add_f64(opts.char_dt).add_f64(opts.char_time_unit);
+  const charlib::CellScales& sc = opts.scales;
+  fp.add_f64(sc.vdd).add_f64(sc.width).add_f64(sc.cox).add_f64(sc.vth);
+  fp.add_f64(sc.slew).add_f64(sc.load);
+  char name[32];
+  std::snprintf(name, sizeof(name), "/lib-%016llx.stca",
+                static_cast<unsigned long long>(fp.value()));
+  return dir + name;
+}
+
+void write_library(persist::Storage& storage, const std::string& path,
+                   const TimingLibrary& lib) {
+  persist::PayloadWriter w;
+  put_library(w, lib);
+  persist::write_artifact(storage, path, persist::kind::kLibrary, kLibrarySchema,
+                          w.bytes());
+}
+
+std::optional<TimingLibrary> read_library(persist::Storage& storage,
+                                          const std::string& path,
+                                          const compact::TechnologyPoint& tech,
+                                          const LibraryBuildOptions& opts) {
+  const persist::ArtifactData art =
+      persist::read_artifact(storage, path, persist::kind::kLibrary, kLibrarySchema);
+  if (!persist::ok(art.status)) return std::nullopt;  // absent, or counted corruption
+  try {
+    persist::PayloadReader r(art.payload);
+    TimingLibrary lib = get_library(r);
+    if (!r.done()) throw persist::PayloadError("library: trailing bytes");
+    if (!built_for(lib, tech, opts))
+      throw persist::PayloadError("library: another point, cell set or axes");
+    return lib;
+  } catch (const persist::PayloadError&) {
+    persist::count_corrupt_artifact();
+    return std::nullopt;
+  }
 }
 
 }  // namespace stco::flow

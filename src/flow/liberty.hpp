@@ -14,6 +14,7 @@
 // exploits.
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "src/cells/characterize.hpp"
@@ -21,6 +22,7 @@
 #include "src/exec/context.hpp"
 #include "src/numeric/matrix.hpp"
 #include "src/numeric/status.hpp"
+#include "src/persist/format.hpp"
 
 namespace stco::flow {
 
@@ -102,5 +104,30 @@ TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
 
 /// Cells the benchmark generators emit (the subset a library must cover).
 const std::vector<std::string>& mapped_cell_set();
+
+/// TimingLibrary codec, the payload of a LIBR artifact. get_library throws
+/// persist::PayloadError on a malformed payload (a length past the end, a
+/// table that does not match its axes, a repeated cell).
+void put_library(persist::PayloadWriter& w, const TimingLibrary& lib);
+TimingLibrary get_library(persist::PayloadReader& r);
+
+/// File of the library for (`tech`, `opts`) in the store directory `dir`:
+/// `<dir>/lib-<fingerprint>.stca`, where the fingerprint covers the
+/// technology point's bits and every LibraryBuildOptions field.
+std::string library_path(const std::string& dir, const compact::TechnologyPoint& tech,
+                         const LibraryBuildOptions& opts);
+
+/// Store `lib` atomically as a LIBR artifact at `path`.
+void write_library(persist::Storage& storage, const std::string& path,
+                   const TimingLibrary& lib);
+
+/// Load the library stored at `path`. Returns nullopt when there is no file,
+/// and also, counted under persist.corrupt_artifacts, when the artifact is
+/// corrupt, fails to decode, or holds another technology point, cell set or
+/// axes than (`tech`, `opts`) would build. Never throws on bad input.
+std::optional<TimingLibrary> read_library(persist::Storage& storage,
+                                          const std::string& path,
+                                          const compact::TechnologyPoint& tech,
+                                          const LibraryBuildOptions& opts);
 
 }  // namespace stco::flow

@@ -31,7 +31,7 @@ inline constexpr std::array<std::string_view, 11> kKeyPrefixes = {
 
 /// Every canonical metric key (counters, gauges, histograms, progress
 /// tasks, and snapshot set_counter/set_gauge keys). Keep sorted.
-inline constexpr std::array<std::string_view, 82> kMetricKeys = {
+inline constexpr std::array<std::string_view, 80> kMetricKeys = {
     "cells.arcs",
     "cells.characterize.sims",
     "cells.characterize_seconds",
@@ -94,8 +94,6 @@ inline constexpr std::array<std::string_view, 82> kMetricKeys = {
     "spice.transient.aborts",
     "spice.transient.retries",
     "spice.transient.runs",
-    "stco.cost_cache.hits",
-    "stco.cost_cache.misses",
     "stco.evaluations",
     "stco.infeasible_evaluations",
     "stco.library_seconds",

@@ -13,8 +13,8 @@
 // name (obs::counter("...") etc.) takes a registry mutex, so call sites
 // cache the reference:
 //
-//   static obs::Counter& hits = obs::counter("stco.cost_cache.hits");
-//   hits.add(1);
+//   static obs::Counter& warm = obs::counter("persist.cache.warm_hits");
+//   warm.add(1);
 //
 // References returned by the registry are stable for the process lifetime
 // (node-based storage, leaked registry). With STCO_OBS=OFF every

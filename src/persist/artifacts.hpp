@@ -5,7 +5,7 @@
 // parameter list as its tensor count, shapes and values, tagged per model
 // so a charlib model file cannot be loaded as a surrogate), and the codec for
 // numeric::RobustnessStats (checkpointed per shard so resumed aggregate
-// stats match an uninterrupted run exactly).
+// stats match an uninterrupted run exactly, and stored with each library).
 
 #include <cstdint>
 #include <string>
@@ -22,7 +22,7 @@ namespace kind {
 inline constexpr std::uint32_t kWeights = fourcc('W', 'G', 'T', 'S');
 inline constexpr std::uint32_t kCharlibShard = fourcc('C', 'H', 'D', 'S');
 inline constexpr std::uint32_t kSurrogateShard = fourcc('S', 'G', 'D', 'S');
-inline constexpr std::uint32_t kCostCache = fourcc('C', 'O', 'S', 'T');
+inline constexpr std::uint32_t kLibrary = fourcc('L', 'I', 'B', 'R');
 inline constexpr std::uint32_t kManifest = fourcc('M', 'A', 'N', 'I');
 }  // namespace kind
 
@@ -39,7 +39,7 @@ void write_weights(Storage& storage, const std::string& path, std::uint32_t mode
                                       std::uint32_t model_tag,
                                       std::vector<tensor::Tensor>& params);
 
-/// RobustnessStats codec, used inside shard payloads.
+/// RobustnessStats codec, used inside shard and library payloads.
 void put_robustness(PayloadWriter& w, const numeric::RobustnessStats& s);
 numeric::RobustnessStats get_robustness(PayloadReader& r);  ///< throws PayloadError
 

@@ -85,7 +85,8 @@ std::vector<double> PayloadReader::get_f64s() {
   if (n > remaining() / sizeof(double))
     throw PayloadError("persist: corrupt vector length");
   std::vector<double> v(n);
-  std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(double));
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(double));
   pos_ += n * sizeof(double);
   return v;
 }

@@ -1,7 +1,7 @@
 #pragma once
 // STCA artifact container: a versioned, CRC32C-checksummed envelope around
 // an opaque payload. Every durable artifact in the tree (model weights,
-// dataset shards, checkpoint manifests, the stco cost cache) uses this one
+// dataset shards, checkpoint manifests, stored cell libraries) uses this one
 // layout, so corruption detection and version gating live in exactly one
 // place.
 //

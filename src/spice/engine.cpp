@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/numeric/solve.hpp"
@@ -269,17 +270,27 @@ numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
     // Per-node voltage limiting (SPICE-style): each node moves at most
     // `limit` volts per iteration; branch currents follow freely. If the
     // iteration stops making progress (limit cycle), tighten the limit.
+    // Finiteness is checked on every raw update: std::max drops a NaN and
+    // the clamp turns an infinity into `limit`, so max_dv alone hides both.
+    // v * 0.0 is 0 for a finite v and NaN otherwise, so `poison` turns NaN
+    // on any non-finite update without a branch per unknown.
     double max_dv = 0.0;
+    double poison = 0.0;
     for (std::size_t k = 0; k < sys.nn - 1; ++k) {
       double dv = x_new[k] - x[k];
+      poison += dv * 0.0;
       dv = std::clamp(dv, -limit, limit);
       x[k] += dv;
       max_dv = std::max(max_dv, std::fabs(dv));
     }
-    for (std::size_t k = sys.nn - 1; k < dim; ++k) x[k] = x_new[k];
+    for (std::size_t k = sys.nn - 1; k < dim; ++k) {
+      x[k] = x_new[k];
+      poison += x[k] * 0.0;
+    }
     st.residual = max_dv;
 
-    if (!std::isfinite(max_dv)) {
+    if (std::isnan(poison)) {
+      st.residual = std::numeric_limits<double>::quiet_NaN();
       st.reason = numeric::SolveReason::kNanResidual;
       return st;
     }

@@ -6,10 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <set>
-#include <tuple>
+#include <optional>
 #include <variant>
 
 #include "src/exec/context.hpp"
@@ -33,15 +30,17 @@ struct StcoConfig {
   /// (incomplete cells, non-finite PPA). Chosen well above any real cost so
   /// the optimizer steers away, but never NaN/Inf — RL rewards stay finite.
   double infeasible_penalty = 100.0;
-  /// Test seam: invoked on each freshly built library before analysis, so
-  /// fault-injection tests can corrupt specific technology points and check
-  /// the degradation path without touching the real builders.
+  /// Test seam: invoked on each library (built or loaded) before analysis,
+  /// so fault-injection tests can corrupt specific technology points and
+  /// check the degradation path without touching the real builders. The
+  /// store keeps the library as built, before the hook.
   std::function<void(flow::TimingLibrary&)> library_hook;
-  /// Directory for the persistent tech-point -> cost cache. Empty = use
-  /// $STCO_CACHE_DIR; both empty = in-memory cache only. A warm cache also
-  /// restores the calibrated PPA weights, so a fully warm run re-evaluates
-  /// nothing. A corrupt or configuration-mismatched cache artifact is
-  /// ignored (counted under persist.corrupt_artifacts) and rebuilt.
+  /// Directory of the SPICE library store. Empty = use $STCO_CACHE_DIR; both
+  /// empty = no store. Each SPICE library is written there once, right after
+  /// it is built, as `lib-<fingerprint>.stca` (flow::library_path), and later
+  /// engines load it instead of building it, whatever their benchmark, cost
+  /// weights or STA options. A corrupt or mismatched file is counted under
+  /// persist.corrupt_artifacts and rebuilt. GNN libraries are not stored.
   std::string cache_dir;
   StcoConfig() {
     // Small NLDM axes keep per-iteration library builds cheap.
@@ -50,25 +49,13 @@ struct StcoConfig {
   }
 };
 
-/// Wall-clock accounting for one engine's lifetime. Evaluations may run
-/// concurrently (candidate prefetch), so the counters are atomic; field
-/// reads implicitly load, and printf-style consumers must call .load().
+/// Wall-clock accounting for one engine's lifetime. The counters are atomic
+/// so another thread can read them mid-run; field reads implicitly load, and
+/// printf-style consumers must call .load().
 struct StcoTiming {
   std::atomic<double> library_seconds{0.0};  ///< technology loop (TCAD excluded)
   std::atomic<double> sta_seconds{0.0};      ///< system evaluation
-  std::atomic<std::size_t> evaluations{0};
-
-  StcoTiming() = default;
-  StcoTiming(const StcoTiming& o)
-      : library_seconds(o.library_seconds.load()),
-        sta_seconds(o.sta_seconds.load()),
-        evaluations(o.evaluations.load()) {}
-  StcoTiming& operator=(const StcoTiming& o) {
-    library_seconds.store(o.library_seconds.load());
-    sta_seconds.store(o.sta_seconds.load());
-    evaluations.store(o.evaluations.load());
-    return *this;
-  }
+  std::atomic<std::size_t> evaluations{0};   ///< libraries built (not loaded)
 };
 
 /// Library-build backend selection, replacing the old nullable-pointer mode
@@ -84,34 +71,24 @@ using LibraryBackend = std::variant<SpiceBackend, GnnBackend>;
 class StcoEngine {
  public:
   /// `backend` selects how per-point libraries are built; `ctx` is where
-  /// this engine runs its parallel work (library builds fan out arc
-  /// characterizations; the searches prefetch candidate evaluations). The
-  /// context must outlive the engine. The default serial context reproduces
-  /// single-threaded behavior exactly.
+  /// each library build fans out its characterizations or graph forwards.
+  /// The context must outlive the engine. Results are bit-identical for any
+  /// context. One engine runs one evaluation at a time.
   StcoEngine(const StcoConfig& cfg, LibraryBackend backend,
              const exec::Context& ctx = exec::Context::serial());
 
-  /// Persists the cost cache (when a cache directory is configured); save
-  /// failures are swallowed — a destructor must not throw, and the cache is
-  /// an optimization, not a correctness requirement.
-  ~StcoEngine();
-
-  /// Library + STA at one technology point (uncached; cost() memoizes).
-  /// Thread-safe: may be called from concurrent prefetch tasks.
+  /// Library (loaded from the store or built) + STA at one technology point.
+  /// Nothing is memoized: every call analyzes again.
   flow::StaReport evaluate(const compact::TechnologyPoint& tech);
 
-  /// Scalar PPA cost (weights calibrated on the mid-grid nominal point at
-  /// first use). Memoized per technology point under a mutex, so concurrent
-  /// candidate prefetch and the serial search replay see identical values.
+  /// Scalar PPA cost of evaluate(tech) (weights calibrated on the mid-grid
+  /// nominal point at first use); infeasible points cost the finite
+  /// infeasible_penalty. Not memoized: the searches memoize per grid state.
   double cost(const compact::TechnologyPoint& tech);
 
-  /// RL exploration over the technology grid. On a threaded context the
-  /// candidate next-states of each step are prefetched concurrently; the
-  /// search trajectory is unchanged because costs are deterministic and
-  /// memoized.
+  /// RL exploration over the technology grid.
   SearchResult optimize();
-  /// Random-search baseline with a comparable budget (prefetches the whole
-  /// drawn sequence on a threaded context).
+  /// Random-search baseline with a comparable budget.
   SearchResult optimize_random(std::size_t budget);
 
   const StcoTiming& timing() const { return timing_; }
@@ -122,20 +99,12 @@ class StcoEngine {
   /// Execution context this engine schedules its parallel work on.
   const exec::Context& context() const { return *ctx_; }
 
-  /// Solver robustness counters aggregated over every library built by this
-  /// engine (empty on the GNN path, which runs no solver).
+  /// Solver robustness counters aggregated over every library this engine
+  /// built (empty on the GNN path, which runs no solver; loaded libraries
+  /// add nothing).
   const numeric::RobustnessStats& robustness() const { return stats_; }
   /// Technology points that degraded to the infeasible penalty.
   std::size_t infeasible_evaluations() const { return infeasible_evaluations_; }
-
-  /// Cost-cache entries restored from disk at construction (0 on a cold
-  /// start or when no cache directory is configured).
-  std::size_t warm_cache_entries() const;
-  /// Path of the cost-cache artifact; empty when persistence is off.
-  const std::string& cost_cache_path() const { return cache_path_; }
-  /// Write the current cost cache (and calibrated weights) to disk now.
-  /// No-op when persistence is off. Also runs in the destructor.
-  void save_cost_cache();
 
   /// One observability cut of this engine's run: the process-wide
   /// obs::snapshot() overlaid with this engine's own timing, robustness,
@@ -145,36 +114,20 @@ class StcoEngine {
   [[nodiscard]] obs::Snapshot obs_snapshot() const;
 
  private:
-  using TechKey = std::tuple<int, double, double, double>;
-  static TechKey key_of(const compact::TechnologyPoint& tech);
-
-  /// Warm the cost cache for `states` concurrently. No-op on a serial
-  /// context (speculative evaluation only pays off with extra lanes).
-  void prefetch_costs(const TechGrid& grid, const std::vector<std::size_t>& states);
-
-  /// Configuration fingerprint of everything a cached cost depends on.
-  std::uint64_t cache_fingerprint() const;
-  void load_cost_cache();
+  /// The library at `tech`: loaded when the store holds it, else built (and
+  /// stored when there is a store; store_dir_ is empty on the GNN path).
+  flow::TimingLibrary library(const compact::TechnologyPoint& tech);
 
   StcoConfig cfg_;
   LibraryBackend backend_;
   const exec::Context* ctx_;
   flow::GateNetlist netlist_;
   flow::StaPlan sta_plan_;  ///< compiled once; netlist_ never changes
+  std::string store_dir_;   ///< empty = no library store
   StcoTiming timing_;
-  PpaWeights weights_{};
-  /// Weight calibration state (mutex + flag instead of std::once_flag so a
-  /// warm cost cache can pre-seed the calibrated weights at construction,
-  /// making a fully warm run evaluate nothing).
-  std::mutex weights_mu_;
-  bool weights_ready_ = false;
+  std::optional<PpaWeights> weights_;  ///< calibrated at first use
   numeric::RobustnessStats stats_;
   std::size_t infeasible_evaluations_ = 0;
-  mutable std::mutex mu_;  ///< guards stats_, infeasible_evaluations_, cost_cache_
-  std::map<TechKey, double> cost_cache_;
-  std::string cache_path_;           ///< empty = persistence off
-  std::set<TechKey> warm_keys_;      ///< keys restored from disk
-  std::size_t warm_entries_ = 0;     ///< |warm_keys_| at construction
 };
 
 /// Fold one run's counters into an obs::Snapshot under the canonical keys

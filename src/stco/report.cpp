@@ -167,7 +167,8 @@ void write_run_report(std::ostream& os, const RunReportInputs& in) {
   os << "- dataset shards: " << in.obs.counter_or("persist.shards_loaded")
      << " loaded from checkpoint, " << in.obs.counter_or("persist.shards_built")
      << " built\n";
-  os << "- cost-cache warm hits: " << in.obs.counter_or("persist.cache.warm_hits")
+  os << "- libraries loaded from the store: "
+     << in.obs.counter_or("persist.cache.warm_hits")
      << "\n\n";
 
   write_attribution_tree(os, in.obs);

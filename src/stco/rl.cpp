@@ -63,7 +63,7 @@ class CachedCost {
 }  // namespace
 
 SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
-                               const RlConfig& cfg, const SearchHooks& hooks) {
+                               const RlConfig& cfg) {
   numeric::Rng rng(cfg.seed);
   CachedCost eval(grid, cost);
   static obs::ProgressTask& prog = obs::progress("stco.search.steps");
@@ -112,15 +112,6 @@ SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
     note(state, c_state);
 
     for (std::size_t step = 0; step < cfg.steps_per_episode; ++step) {
-      if (hooks.prefetch) {
-        // Whatever action is picked below, the successor is one of these
-        // seven states; announce them so a parallel engine can evaluate
-        // speculatively while this thread replays the trajectory.
-        std::vector<std::size_t> candidates(n_actions);
-        for (std::size_t a = 0; a < n_actions; ++a)
-          candidates[a] = apply_action(state, a);
-        hooks.prefetch(candidates);
-      }
       std::size_t action;
       if (rng.bernoulli(eps)) {
         action = rng.uniform_index(n_actions);
@@ -149,22 +140,15 @@ SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
 }
 
 SearchResult random_search(const TechGrid& grid, const CostFn& cost,
-                           std::size_t budget, std::uint64_t seed,
-                           const SearchHooks& hooks) {
+                           std::size_t budget, std::uint64_t seed) {
   numeric::Rng rng(seed);
   CachedCost eval(grid, cost);
-  // The visit sequence depends only on the seed, so draw it up front: the
-  // whole budget can be announced as one prefetch batch, and the serial
-  // replay below then reads memoized costs.
-  std::vector<std::size_t> states(budget);
-  for (auto& s : states) s = rng.uniform_index(grid.num_states());
-  if (hooks.prefetch && budget > 0) hooks.prefetch(states);
   static obs::ProgressTask& prog = obs::progress("stco.search.steps");
   prog.add_work(budget);
   SearchResult res;
   res.best_cost = 1e300;
   for (std::size_t i = 0; i < budget; ++i) {
-    const std::size_t state = states[i];
+    const std::size_t state = rng.uniform_index(grid.num_states());
     const double c = eval(state);
     if (c < res.best_cost) {
       res.best_cost = c;

@@ -32,8 +32,8 @@ class TechGrid {
   std::size_t n_;
 };
 
-/// Cost of one technology point; expected to be deterministic (the engine
-/// caches evaluations, so repeated visits are free).
+/// Cost of one technology point; expected to be deterministic. Each search
+/// memoizes it per grid state, so a search costs every state it visits once.
 using CostFn = std::function<double(const compact::TechnologyPoint&)>;
 
 struct RlConfig {
@@ -54,27 +54,13 @@ struct SearchResult {
   std::vector<double> best_cost_history;  ///< best-so-far per step
 };
 
-/// Optional side channels into a search. `prefetch` is called with grid
-/// states the search may evaluate soon; a parallel engine can warm its cost
-/// cache concurrently. Purely a latency hint — the search trajectory must
-/// not depend on whether (or how much of) a prefetch completes, which holds
-/// as long as the cost function is deterministic and memoized.
-struct SearchHooks {
-  std::function<void(const std::vector<std::size_t>&)> prefetch;
-};
-
-/// Tabular Q-learning over the grid (7 actions: +-1 per axis, stay). Before
-/// each step the candidate successors of the current state are announced via
-/// `hooks.prefetch`.
+/// Tabular Q-learning over the grid (7 actions: +-1 per axis, stay).
 SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
-                               const RlConfig& cfg = {},
-                               const SearchHooks& hooks = {});
+                               const RlConfig& cfg = {});
 
-/// Random search with the same step budget (ablation baseline). The state
-/// sequence depends only on `seed`, so it is drawn up front and announced as
-/// one `hooks.prefetch` batch before the serial replay.
+/// Random search with the same step budget (ablation baseline); the state
+/// sequence depends only on `seed`.
 SearchResult random_search(const TechGrid& grid, const CostFn& cost,
-                           std::size_t budget, std::uint64_t seed = 11,
-                           const SearchHooks& hooks = {});
+                           std::size_t budget, std::uint64_t seed = 11);
 
 }  // namespace stco

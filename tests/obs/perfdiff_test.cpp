@@ -64,7 +64,7 @@ TEST(KeyDirection, HigherIsBetterFamilies) {
   EXPECT_EQ(key_direction("throughput.graphs_per_s"),
             Direction::kHigherIsBetter);
   EXPECT_EQ(key_direction("batch.speedup"), Direction::kHigherIsBetter);
-  EXPECT_EQ(key_direction("stco.cost_cache.hits"), Direction::kHigherIsBetter);
+  EXPECT_EQ(key_direction("persist.cache.warm_hits"), Direction::kHigherIsBetter);
 }
 
 TEST(KeyDirection, UnknownKeysAreInformational) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/spice/engine.hpp"
 #include "src/spice/measure.hpp"
@@ -76,6 +77,23 @@ TEST(Robustness, ConflictingSourcesFailCleanly) {
   EXPECT_GT(dc.stats.total_retries(), 0u);
   EXPECT_TRUE(all_finite(dc.node_voltage));
   EXPECT_TRUE(all_finite(dc.source_current));
+}
+
+// A NaN source voltage makes the divider's updates NaN. The solve must fail
+// with kNanResidual, not report convergence with v(mid) = NaN.
+TEST(Robustness, NanSourceFailsWithNanResidual) {
+  Netlist nl;
+  const NodeId in = nl.node("in"), mid = nl.node("mid");
+  nl.add_vsource("V1", in, kGround,
+                 Waveform::dc(std::numeric_limits<double>::quiet_NaN()));
+  nl.add_resistor("R1", in, mid, 1e3);
+  nl.add_resistor("R2", mid, kGround, 3e3);
+  const auto dc = dc_operating_point(nl);
+  EXPECT_FALSE(dc.converged);
+  EXPECT_EQ(dc.status.reason, numeric::SolveReason::kNanResidual);
+  EXPECT_EQ(dc.stats.failures, 1u);
+  EXPECT_EQ(dc.stats.recovered, 0u);
+  EXPECT_EQ(dc.stats.direct_success, 0u);
 }
 
 // A transient whose t = 0 operating point is infeasible aborts before

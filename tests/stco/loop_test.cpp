@@ -185,8 +185,8 @@ TEST(StcoEngine, ParallelSearchMatchesSerial) {
   cfg.rl.episodes = 2;
   cfg.rl.steps_per_episode = 4;
 
-  // Costs are deterministic and memoized, so concurrent candidate prefetch
-  // must leave the search trajectory — not just the final point — unchanged.
+  // Library builds fan out on the context and merge in a fixed order, so
+  // the search trajectory — not just the final point — is unchanged.
   StcoEngine serial(cfg, GnnBackend{model});
   const auto a = serial.optimize();
   exec::Context ctx(4);
