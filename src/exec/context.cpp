@@ -11,26 +11,22 @@
 
 namespace stco::exec {
 
-// Completion state of one submission region (a parallel_for call or a
-// TaskGroup). Tasks are tagged with their region so a waiting thread can
-// restrict the tasks it helps with to its own region — helping arbitrary
-// tasks would let unrelated regions nest on the waiter's stack without
-// bound.
-struct TaskGroup::State {
+namespace {
+
+// Completion state of one parallel_for region. Tasks are tagged with their
+// region so a waiting thread can restrict the tasks it helps with to its own
+// region — helping arbitrary tasks would let unrelated regions nest on the
+// waiter's stack without bound.
+struct Region {
   std::mutex m;
   std::condition_variable cv;
   std::size_t outstanding = 0;       ///< submitted and not yet finished
   std::exception_ptr error;          ///< first task exception
   std::atomic<bool> abort{false};    ///< set with `error`; skips later bodies
-  std::atomic<std::size_t> executed{0};
 };
 
-namespace {
-
-using GroupState = TaskGroup::State;
-
 struct Task {
-  std::shared_ptr<GroupState> group;
+  std::shared_ptr<Region> region;
   std::function<void()> fn;
   obs::SpanContext span;         ///< submitter's span, restored in the worker
   std::uint64_t submit_ns = 0;   ///< for the queue-latency histogram (0 = off)
@@ -75,16 +71,6 @@ struct Context::Impl {
   std::atomic<std::size_t> max_depth{0};
   std::atomic<std::size_t> regions{0};
 
-  // Cooperative cancellation.
-  std::atomic<bool> cancel{false};
-  std::atomic<const numeric::SolveBudget*> budget{nullptr};
-
-  bool should_stop() const {
-    if (cancel.load(std::memory_order_relaxed)) return true;
-    const auto* b = budget.load(std::memory_order_relaxed);
-    return b != nullptr && b->exhausted();
-  }
-
   void push(std::size_t qi, Task t) {
     {
       std::lock_guard<std::mutex> lk(queues[qi]->m);
@@ -128,13 +114,13 @@ struct Context::Impl {
     return false;
   }
 
-  /// Take one queued task belonging to `g` (used by waiting threads, which
+  /// Take one queued task belonging to `r` (used by waiting threads, which
   /// only help their own region).
-  bool take_group(const GroupState* g, Task& out) {
+  bool take_region(const Region* r, Task& out) {
     for (auto& qp : queues) {
       std::lock_guard<std::mutex> lk(qp->m);
       for (auto it = qp->q.begin(); it != qp->q.end(); ++it) {
-        if (it->group.get() == g) {
+        if (it->region.get() == r) {
           out = std::move(*it);
           qp->q.erase(it);
           pending.fetch_sub(1, std::memory_order_relaxed);
@@ -147,7 +133,7 @@ struct Context::Impl {
   }
 
   void run_task(Task& t) {
-    GroupState& g = *t.group;
+    Region& r = *t.region;
     // Restore the submitter's span as this thread's current span so spans
     // opened inside the task body parent correctly across the pool hop.
     obs::TaskScope span_scope(t.span);
@@ -155,18 +141,18 @@ struct Context::Impl {
       queue_latency_hist().observe(
           static_cast<double>(obs::now_ns() - t.submit_ns) * 1e-9);
     }
-    if (!g.abort.load(std::memory_order_relaxed) && !should_stop()) {
+    if (!r.abort.load(std::memory_order_relaxed)) {
       try {
         t.fn();
         tasks_run.fetch_add(1, std::memory_order_relaxed);
       } catch (...) {
-        std::lock_guard<std::mutex> lk(g.m);
-        if (!g.error) g.error = std::current_exception();
-        g.abort.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lk(r.m);
+        if (!r.error) r.error = std::current_exception();
+        r.abort.store(true, std::memory_order_relaxed);
       }
     }
-    std::lock_guard<std::mutex> lk(g.m);
-    if (--g.outstanding == 0) g.cv.notify_all();
+    std::lock_guard<std::mutex> lk(r.m);
+    if (--r.outstanding == 0) r.cv.notify_all();
   }
 
   void worker_main(std::size_t index) {
@@ -174,7 +160,7 @@ struct Context::Impl {
     while (true) {
       if (take_any(index, t)) {
         run_task(t);
-        t = Task{};  // release the group before idling
+        t = Task{};  // release the region before idling
         continue;
       }
       std::unique_lock<std::mutex> lk(wake_m);
@@ -189,12 +175,12 @@ struct Context::Impl {
     }
   }
 
-  void submit(std::shared_ptr<GroupState> g, std::function<void()> fn) {
+  void submit(std::shared_ptr<Region> r, std::function<void()> fn) {
     {
-      std::lock_guard<std::mutex> lk(g->m);
-      ++g->outstanding;
+      std::lock_guard<std::mutex> lk(r->m);
+      ++r->outstanding;
     }
-    Task t{std::move(g), std::move(fn), {}, 0};
+    Task t{std::move(r), std::move(fn), {}, 0};
     if (obs::tracing_enabled()) {
       t.span = obs::current_context();  // reparent across the pool hop
       t.submit_ns = obs::now_ns();
@@ -203,21 +189,21 @@ struct Context::Impl {
     push(qi, std::move(t));
   }
 
-  /// Block until group `g` drains, executing its queued tasks meanwhile.
-  void wait_group(const std::shared_ptr<GroupState>& g) {
+  /// Block until region `r` drains, executing its queued tasks meanwhile.
+  void wait_region(const std::shared_ptr<Region>& r) {
     Task t;
     while (true) {
       {
-        std::lock_guard<std::mutex> lk(g->m);
-        if (g->outstanding == 0) break;
+        std::lock_guard<std::mutex> lk(r->m);
+        if (r->outstanding == 0) break;
       }
-      if (take_group(g.get(), t)) {
+      if (take_region(r.get(), t)) {
         run_task(t);
         t = Task{};
         continue;
       }
-      std::unique_lock<std::mutex> lk(g->m);
-      g->cv.wait(lk, [&] { return g->outstanding == 0; });
+      std::unique_lock<std::mutex> lk(r->m);
+      r->cv.wait(lk, [&] { return r->outstanding == 0; });
       break;
     }
   }
@@ -248,13 +234,9 @@ Context::~Context() {
 
 std::size_t Context::threads() const { return impl_->workers.size(); }
 
-std::size_t Context::concurrency() const {
-  return impl_->workers.empty() ? 1 : impl_->workers.size();
-}
-
-std::size_t Context::parallel_for(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
-  if (n == 0) return 0;
+void Context::parallel_for(std::size_t n,
+                           const std::function<void(std::size_t)>& body) const {
+  if (n == 0) return;
   Impl& im = *impl_;
   im.regions.fetch_add(1, std::memory_order_relaxed);
   // Region span; submitted tasks capture it as their parent (see submit()).
@@ -262,14 +244,11 @@ std::size_t Context::parallel_for(
 
   if (im.queues.empty()) {
     // Inline serial path: index order, immediate exception propagation.
-    std::size_t executed = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (im.should_stop()) break;
       body(i);
-      ++executed;
       im.tasks_run.fetch_add(1, std::memory_order_relaxed);
     }
-    return executed;
+    return;
   }
 
   // Index ranges are carved into chunks sized for ~4 chunks per lane so the
@@ -278,35 +257,18 @@ std::size_t Context::parallel_for(
   // is deterministic.
   const std::size_t lanes = im.queues.size() + 1;
   const std::size_t chunk = std::max<std::size_t>(1, n / (lanes * 4));
-  auto g = std::make_shared<GroupState>();
+  auto r = std::make_shared<Region>();
   for (std::size_t lo = 0; lo < n; lo += chunk) {
     const std::size_t hi = std::min(n, lo + chunk);
-    im.submit(g, [&im, &body, g_raw = g.get(), lo, hi] {
+    im.submit(r, [&body, r_raw = r.get(), lo, hi] {
       for (std::size_t i = lo; i < hi; ++i) {
-        if (g_raw->abort.load(std::memory_order_relaxed) || im.should_stop())
-          return;
+        if (r_raw->abort.load(std::memory_order_relaxed)) return;
         body(i);
-        g_raw->executed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  im.wait_group(g);
-  if (g->error) std::rethrow_exception(g->error);
-  return g->executed.load(std::memory_order_relaxed);
-}
-
-void Context::request_cancel() const {
-  impl_->cancel.store(true, std::memory_order_relaxed);
-}
-
-void Context::reset_cancel() const {
-  impl_->cancel.store(false, std::memory_order_relaxed);
-}
-
-bool Context::cancel_requested() const { return impl_->should_stop(); }
-
-void Context::attach_budget(const numeric::SolveBudget* budget) const {
-  impl_->budget.store(budget, std::memory_order_relaxed);
+  im.wait_region(r);
+  if (r->error) std::rethrow_exception(r->error);
 }
 
 ContextStats Context::stats() const {
@@ -337,50 +299,6 @@ std::string ContextStats::summary() const {
        << max_queue_depth;
   }
   return ss.str();
-}
-
-TaskGroup::TaskGroup(const Context& ctx)
-    : ctx_(ctx), state_(std::make_shared<State>()) {
-  ctx.impl_->regions.fetch_add(1, std::memory_order_relaxed);
-}
-
-TaskGroup::~TaskGroup() {
-  try {
-    wait();
-  } catch (...) {
-    // Destructor swallows; call wait() for the exception.
-  }
-}
-
-void TaskGroup::run(std::function<void()> fn) {
-  Context::Impl& im = *ctx_.impl_;
-  if (im.queues.empty()) {
-    // Inline: run now unless the group already failed / context cancelled.
-    if (state_->abort.load(std::memory_order_relaxed) || im.should_stop()) return;
-    try {
-      fn();
-      state_->executed.fetch_add(1, std::memory_order_relaxed);
-      im.tasks_run.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      if (!state_->error) state_->error = std::current_exception();
-      state_->abort.store(true, std::memory_order_relaxed);
-    }
-    return;
-  }
-  im.submit(state_, [st = state_.get(), &im, fn = std::move(fn)] {
-    fn();
-    st->executed.fetch_add(1, std::memory_order_relaxed);
-  });
-}
-
-void TaskGroup::wait() {
-  ctx_.impl_->wait_group(state_);
-  if (state_->error) {
-    // One rethrow per wait(); leave abort set so later run() calls no-op.
-    std::exception_ptr e = state_->error;
-    state_->error = nullptr;
-    std::rethrow_exception(e);
-  }
 }
 
 }  // namespace stco::exec

@@ -5,7 +5,7 @@
 // `const Context&`) through the hot loops of the framework: SPICE arc
 // characterization, charlib / surrogate dataset builds, GNN minibatch
 // training, and STCO candidate evaluation. One execution vocabulary instead
-// of ad-hoc loops, with three contracts:
+// of ad-hoc loops, with two contracts:
 //
 //   * Determinism — parallel_for schedules work arbitrarily, but callers
 //     write results into index-addressed slots (see map()) and reduce in
@@ -14,23 +14,16 @@
 //   * Exception propagation — the first exception thrown by any task
 //     aborts the remaining tasks of that region and is rethrown on the
 //     submitting thread.
-//   * Cooperative cancellation — request_cancel(), or an attached
-//     numeric::SolveBudget that exhausts, stops *unstarted* iterations;
-//     running tasks may poll cancel_requested() to stop early (the same
-//     way the solver retry ladders poll their budgets).
 //
 // The default at every public entry point is Context::serial(), an inline
 // executor with no worker threads, so call sites migrate incrementally and
 // tests run the exact serial semantics by default.
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "src/numeric/status.hpp"
 
 namespace stco::exec {
 
@@ -41,13 +34,11 @@ struct ContextStats {
   std::size_t tasks_run = 0;        ///< task bodies actually executed
   std::size_t steals = 0;           ///< tasks taken from another queue
   std::size_t max_queue_depth = 0;  ///< high-water mark over all deques
-  std::size_t parallel_regions = 0; ///< parallel_for / TaskGroup regions
+  std::size_t parallel_regions = 0; ///< parallel_for regions
 
   /// "serial inline, 42 tasks" / "8 threads, 171 tasks, 23 steals, ...".
   std::string summary() const;
 };
-
-class TaskGroup;
 
 class Context {
  public:
@@ -57,8 +48,8 @@ class Context {
   static const Context& serial();
 
   /// Pool with `threads` worker threads. The thread that calls
-  /// parallel_for() / TaskGroup::wait() also executes tasks while it waits,
-  /// so `threads` is the number of *extra* execution lanes. 0 = inline.
+  /// parallel_for() also executes tasks while it waits, so `threads` is the
+  /// number of *extra* execution lanes. 0 = inline.
   explicit Context(std::size_t threads);
   ~Context();
   Context(const Context&) = delete;
@@ -66,19 +57,17 @@ class Context {
 
   /// Worker thread count (0 for the serial context).
   std::size_t threads() const;
-  /// Execution lanes a parallel region can use (threads(), min 1).
-  std::size_t concurrency() const;
 
   /// Run body(i) for every i in [0, n); blocks until the region completes.
   /// Scheduling order is arbitrary; determinism is the caller's job (write
-  /// to slot i, reduce in index order). Returns the number of iterations
-  /// actually executed — equal to n unless cancellation struck. The first
-  /// exception out of any iteration is rethrown here.
-  std::size_t parallel_for(std::size_t n,
-                           const std::function<void(std::size_t)>& body) const;
+  /// to slot i, reduce in index order). The first exception out of any
+  /// iteration is rethrown here. Regions nest: a body may open its own
+  /// parallel_for on the same context without deadlocking.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body) const;
 
   /// Deterministic index-ordered map: out[i] = fn(i). T must be default-
-  /// constructible; slots of cancelled iterations stay default-constructed.
+  /// constructible.
   template <typename Fn>
   auto map(std::size_t n, Fn&& fn) const
       -> std::vector<decltype(fn(std::size_t{0}))> {
@@ -87,33 +76,20 @@ class Context {
     return out;
   }
 
-  /// Cooperative cancellation: unstarted iterations are skipped once set.
-  /// Sticky until reset_cancel(). Avoid cancelling Context::serial() — it
-  /// is shared process-wide.
-  void request_cancel() const;
-  void reset_cancel() const;
-  /// True when cancel was requested or the attached budget is exhausted.
-  bool cancel_requested() const;
-
-  /// Attach a shared solve budget; while attached, budget exhaustion reads
-  /// as cancellation (nullptr detaches). Prefer the scoped BudgetScope.
-  void attach_budget(const numeric::SolveBudget* budget) const;
-
   /// Snapshot of the scheduler counters.
   ///
   /// Memory-ordering contract (audited): every counter is a relaxed
   /// std::atomic — individual loads never tear (atomicity is unconditional;
   /// relaxed only weakens ordering *between* objects). The snapshot is a
   /// *consistent cut* only when the context is quiescent, i.e. every
-  /// parallel_for / TaskGroup::wait has returned on the calling thread:
-  /// each task's counter increments are sequenced before that task releases
-  /// its group mutex, and the waiter acquires the same mutex before
-  /// wait_group() returns, so quiescence gives a full happens-before edge
-  /// from every increment to the stats() loads — no fences or stronger
-  /// orderings are needed. Called concurrently with running regions,
-  /// stats() still returns valid (untorn) values per counter, but the set
-  /// may be mid-update (e.g. tasks_run observed before a steal that
-  /// preceded it).
+  /// parallel_for has returned on the calling thread: each task's counter
+  /// increments are sequenced before that task releases its region mutex,
+  /// and the waiter acquires the same mutex before wait_region() returns,
+  /// so quiescence gives a full happens-before edge from every increment to
+  /// the stats() loads — no fences or stronger orderings are needed. Called
+  /// concurrently with running regions, stats() still returns valid
+  /// (untorn) values per counter, but the set may be mid-update (e.g.
+  /// tasks_run observed before a steal that preceded it).
   ContextStats stats() const;
   /// Zero the counters. Same contract as stats(): call at quiescence;
   /// concurrent with running regions it races benignly (increments landing
@@ -121,52 +97,8 @@ class Context {
   void reset_stats() const;
 
  private:
-  friend class TaskGroup;
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// RAII budget attachment: `exec::BudgetScope scope(ctx, budget);` makes
-/// every parallel region on `ctx` stop scheduling new work once the budget
-/// exhausts, mirroring how the retry ladders bail out mid-ladder.
-class BudgetScope {
- public:
-  BudgetScope(const Context& ctx, const numeric::SolveBudget& budget)
-      : ctx_(ctx) {
-    ctx_.attach_budget(&budget);
-  }
-  ~BudgetScope() { ctx_.attach_budget(nullptr); }
-  BudgetScope(const BudgetScope&) = delete;
-  BudgetScope& operator=(const BudgetScope&) = delete;
-
- private:
-  const Context& ctx_;
-};
-
-/// Explicit task submission for irregular work. Tasks may themselves open
-/// nested TaskGroups / parallel_for regions on the same context; waiting
-/// threads execute tasks of their own group while blocked, so nesting does
-/// not deadlock. wait() rethrows the first task exception.
-class TaskGroup {
- public:
-  explicit TaskGroup(const Context& ctx);
-  /// Waits for outstanding tasks (swallowing any pending exception — call
-  /// wait() explicitly if you need it).
-  ~TaskGroup();
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Submit one task. On the serial context this runs `fn` immediately.
-  void run(std::function<void()> fn);
-  /// Block until every submitted task finished; rethrows the first task
-  /// exception. The calling thread helps execute this group's tasks.
-  void wait();
-
-  struct State;  // opaque; shared with the Context scheduler internals
-
- private:
-  const Context& ctx_;
-  std::shared_ptr<State> state_;
 };
 
 }  // namespace stco::exec

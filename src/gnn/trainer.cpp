@@ -51,7 +51,6 @@ TrainStats train(std::vector<tensor::Tensor> params, const SampleLossFn& sample_
       // thread count, keeping the training trajectory deterministic.
       double batch_sum = 0.0;
       for (auto& l : losses) {
-        if (!l.defined()) continue;  // iteration skipped by cancellation
         tensor::Tensor scaled = tensor::scale(l, inv);
         scaled.backward();
         batch_sum += l.item();

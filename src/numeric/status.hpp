@@ -46,7 +46,6 @@ class SolveBudget {
   explicit SolveBudget(std::size_t max_iterations) : max_iterations_(max_iterations) {}
 
   void charge(std::size_t iterations) { used_iterations_ += iterations; }
-  std::size_t used_iterations() const { return used_iterations_; }
 
   bool exhausted() const {
     return max_iterations_ > 0 && used_iterations_ >= max_iterations_;

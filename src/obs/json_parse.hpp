@@ -1,10 +1,12 @@
 #pragma once
-// Minimal JSON DOM parser for obs' own output formats (snapshot JSON,
-// telemetry JSONL, BENCH_*.json payloads). Complements json.hpp's
-// validator: json_valid answers "is this well-formed", parse_json hands
-// back a navigable value tree. Deliberately small — numbers are doubles,
-// objects are sorted maps, no streaming — because every producer is our
-// own code emitting modest documents.
+// Minimal JSON parser for obs' own output formats (snapshot JSON,
+// telemetry JSONL, chrome traces, BENCH_*.json payloads). The grammar is
+// strict RFC 8259 — no leading '+', leading zeros, bare '.', or raw control
+// characters in strings — so json_valid doubles as the well-formedness
+// check of the trace round-trip test and the bench self-checks.
+// Deliberately small — numbers are doubles, objects are sorted maps, no
+// streaming — because every producer is our own code emitting modest
+// documents.
 //
 // Header-only so the stco-perfdiff tool and the telemetry reader share one
 // implementation without a new library target.
@@ -53,7 +55,7 @@ struct Parser {
   std::string_view s;
   std::size_t i = 0;
   int depth = 0;
-  static constexpr int kMaxDepth = 64;
+  static constexpr int kMaxDepth = 256;
 
   bool eof() const { return i >= s.size(); }
   char peek() const { return s[i]; }
@@ -61,6 +63,11 @@ struct Parser {
   void skip_ws() {
     while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
       ++i;
+  }
+
+  bool digit() const { return !eof() && s[i] >= '0' && s[i] <= '9'; }
+  void skip_digits() {
+    while (digit()) ++i;
   }
 
   bool literal(std::string_view word) {
@@ -76,6 +83,7 @@ struct Parser {
     while (!eof()) {
       const char c = s[i++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
       if (c == '\\') {
         if (eof()) return false;
         const char e = s[i++];
@@ -122,13 +130,24 @@ struct Parser {
     return false;  // unterminated
   }
 
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(double& out) {
     const std::size_t start = i;
     if (!eof() && s[i] == '-') ++i;
-    while (!eof() && ((s[i] >= '0' && s[i] <= '9') || s[i] == '.' ||
-                      s[i] == 'e' || s[i] == 'E' || s[i] == '+' || s[i] == '-'))
+    if (!digit()) return false;
+    if (s[i] == '0') ++i;
+    else skip_digits();
+    if (!eof() && s[i] == '.') {
       ++i;
-    if (i == start) return false;
+      if (!digit()) return false;
+      skip_digits();
+    }
+    if (!eof() && (s[i] == 'e' || s[i] == 'E')) {
+      ++i;
+      if (!eof() && (s[i] == '+' || s[i] == '-')) ++i;
+      if (!digit()) return false;
+      skip_digits();
+    }
     const std::string tok(s.substr(start, i - start));
     char* end = nullptr;
     out = std::strtod(tok.c_str(), &end);
@@ -230,5 +249,9 @@ inline std::optional<JsonValue> parse_json(std::string_view text) {
   if (!p.eof()) return std::nullopt;
   return v;
 }
+
+/// True iff `text` is exactly one syntactically valid JSON value
+/// (surrounding whitespace allowed).
+inline bool json_valid(std::string_view text) { return parse_json(text).has_value(); }
 
 }  // namespace stco::obs

@@ -17,7 +17,6 @@ namespace stco::obs {
 
 namespace detail {
 std::atomic<bool> g_tracing{false};
-thread_local SpanId t_current = 0;
 }  // namespace detail
 
 #ifndef STCO_OBS_DISABLED

@@ -52,7 +52,10 @@ using SpanId = std::uint64_t;  ///< 0 = "no span"
 
 namespace detail {
 extern std::atomic<bool> g_tracing;        ///< runtime tracing switch
-extern thread_local SpanId t_current;      ///< innermost live span of this thread
+/// Innermost live span of this thread. Defined here with a constant
+/// initializer so every access is a direct TLS load, never a call through
+/// the lazy-init wrapper an `extern thread_local` needs.
+inline constinit thread_local SpanId t_current = 0;
 }  // namespace detail
 
 /// True while a TraceSession (or the STCO_TRACE environment session) is

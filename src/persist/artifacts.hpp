@@ -21,7 +21,6 @@ namespace stco::persist {
 namespace kind {
 inline constexpr std::uint32_t kWeights = fourcc('W', 'G', 'T', 'S');
 inline constexpr std::uint32_t kCharlibShard = fourcc('C', 'H', 'D', 'S');
-inline constexpr std::uint32_t kSurrogateShard = fourcc('S', 'G', 'D', 'S');
 inline constexpr std::uint32_t kLibrary = fourcc('L', 'I', 'B', 'R');
 inline constexpr std::uint32_t kManifest = fourcc('M', 'A', 'N', 'I');
 }  // namespace kind

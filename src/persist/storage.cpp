@@ -53,9 +53,10 @@ void Storage::write_atomic(const std::string& path, std::string_view bytes) {
 
 LoadStatus Storage::read(const std::string& path, std::string& out) const {
   static obs::Counter& c_reads = obs::counter("persist.reads");
-  c_reads.add(1);
   switch (read_file_bytes(path, out)) {
-    case ReadFileStatus::kOk: return LoadStatus::kOk;
+    case ReadFileStatus::kOk:
+      c_reads.add(1);
+      return LoadStatus::kOk;
     case ReadFileStatus::kNotFound: return LoadStatus::kNotFound;
     case ReadFileStatus::kIoError: return LoadStatus::kIoError;
   }
@@ -65,11 +66,6 @@ LoadStatus Storage::read(const std::string& path, std::string& out) const {
 bool Storage::exists(const std::string& path) const {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
-}
-
-void Storage::remove_file(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
 }
 
 void Storage::create_directories(const std::string& path) {

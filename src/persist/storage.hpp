@@ -63,7 +63,6 @@ class Storage {
   [[nodiscard]] LoadStatus read(const std::string& path, std::string& out) const;
 
   [[nodiscard]] bool exists(const std::string& path) const;
-  void remove_file(const std::string& path);         ///< best effort
   void create_directories(const std::string& path);  ///< mkdir -p, best effort
 
   const RetryPolicy& retry() const { return retry_; }

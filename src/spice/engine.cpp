@@ -448,22 +448,6 @@ void update_caps(System& sys, const numeric::Vec& x, double h, bool trap) {
   }
 }
 
-}  // namespace
-
-numeric::Vec TranResult::node_waveform(NodeId n) const {
-  numeric::Vec w(samples());
-  for (std::size_t k = 0; k < samples(); ++k) w[k] = v[k][n];
-  return w;
-}
-
-numeric::Vec TranResult::source_waveform(std::size_t src) const {
-  numeric::Vec w(samples());
-  for (std::size_t k = 0; k < samples(); ++k) w[k] = i_src[k][src];
-  return w;
-}
-
-namespace {
-
 // Records one transient run's telemetry when the enclosing scope exits —
 // per run, never per Newton solve or per timestep, so the obs-ON overhead
 // stays unmeasurable on the integration hot path.

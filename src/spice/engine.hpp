@@ -78,10 +78,6 @@ struct TranResult {
   double failure_time = -1.0;
 
   std::size_t samples() const { return time.size(); }
-  /// Voltage waveform of one node.
-  numeric::Vec node_waveform(NodeId n) const;
-  /// Branch-current waveform of one source.
-  numeric::Vec source_waveform(std::size_t src) const;
 };
 
 /// Solve the DC operating point at time `t` (sources evaluated at t).

@@ -55,7 +55,6 @@ class Netlist {
   /// Id for a named node, creating it if new. "0" and "gnd" map to ground.
   NodeId node(const std::string& name);
   std::size_t num_nodes() const { return names_.size(); }  ///< includes ground
-  const std::string& node_name(NodeId id) const { return names_.at(id); }
 
   void add_resistor(std::string name, NodeId n1, NodeId n2, double ohms);
   void add_capacitor(std::string name, NodeId n1, NodeId n2, double farads);

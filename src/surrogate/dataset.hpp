@@ -32,12 +32,6 @@ struct PopulationStats {
   std::size_t attempts = 0;  ///< devices drawn (successes + drops)
   std::size_t dropped = 0;   ///< devices discarded after solver failure
   numeric::RobustnessStats solver;  ///< aggregated solver counters
-
-  void merge(const PopulationStats& o) {
-    attempts += o.attempts;
-    dropped += o.dropped;
-    solver.merge(o.solver);
-  }
 };
 
 struct PopulationOptions {

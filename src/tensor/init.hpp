@@ -17,15 +17,6 @@ inline Tensor xavier_uniform(std::size_t fan_in, std::size_t fan_out,
   return Tensor::from_data(std::move(data), fan_in, fan_out, /*requires_grad=*/true);
 }
 
-/// Kaiming/He uniform init (for ReLU-family activations).
-inline Tensor kaiming_uniform(std::size_t fan_in, std::size_t fan_out,
-                              numeric::Rng& rng) {
-  const double limit = std::sqrt(6.0 / static_cast<double>(fan_in));
-  std::vector<double> data(fan_in * fan_out);
-  for (auto& v : data) v = rng.uniform(-limit, limit);
-  return Tensor::from_data(std::move(data), fan_in, fan_out, /*requires_grad=*/true);
-}
-
 /// Trainable zero bias row (1 x n).
 inline Tensor zero_bias(std::size_t n) { return Tensor::zeros(1, n, /*requires_grad=*/true); }
 

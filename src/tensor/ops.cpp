@@ -132,10 +132,9 @@ void matmul_grad_b_rows(const double* av, const double* g, double* db,
 
 /// Run `kernel(r0, r1, dst)` over [0, nrows), fanned out in row blocks on
 /// `ctx` when the problem is large enough. Small problems write straight
-/// into `grad`; large ones accumulate into a zeroed scratch first (so block
-/// writes stay disjoint and a cancelled region can be redone serially) and
-/// then fold the scratch into `grad` in index order. The scratch path is
-/// chosen by size alone, keeping serial and parallel results bit-identical.
+/// into `grad`; large ones accumulate into a zeroed scratch first and then
+/// fold the scratch into `grad` in index order. The scratch path is chosen
+/// by size alone, keeping serial and parallel results bit-identical.
 template <typename Kernel>
 void blocked_grad(std::vector<double>& grad, std::size_t nrows, double flops,
                   const exec::Context& ctx, Kernel&& kernel) {
@@ -146,14 +145,10 @@ void blocked_grad(std::vector<double>& grad, std::size_t nrows, double flops,
     return;
   }
   std::vector<double> scratch(grad.size(), 0.0);
-  const std::size_t done = ctx.parallel_for(nblocks, [&](std::size_t blk) {
+  ctx.parallel_for(nblocks, [&](std::size_t blk) {
     const std::size_t r0 = blk * kMatmulRowBlock;
     kernel(r0, std::min(nrows, r0 + kMatmulRowBlock), scratch.data());
   });
-  if (done != nblocks) {  // cancelled mid-region: redo the whole thing serially
-    scratch.assign(scratch.size(), 0.0);
-    kernel(std::size_t{0}, nrows, scratch.data());
-  }
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] += scratch[i];
 }
 
@@ -194,14 +189,10 @@ Tensor matmul(const Tensor& a, const Tensor& b, const exec::Context& ctx) {
   if (flops < kMatmulParallelFlops || nblocks < 2) {
     matmul_rows(av, bv, c.data(), 0, m, k, n);
   } else {
-    const std::size_t done = ctx.parallel_for(nblocks, [&](std::size_t blk) {
+    ctx.parallel_for(nblocks, [&](std::size_t blk) {
       const std::size_t r0 = blk * kMatmulRowBlock;
       matmul_rows(av, bv, c.data(), r0, std::min(m, r0 + kMatmulRowBlock), k, n);
     });
-    if (done != nblocks) {  // cancelled: rebuild the full product serially
-      std::fill(c.begin(), c.end(), 0.0);
-      matmul_rows(av, bv, c.data(), 0, m, k, n);
-    }
   }
   return out;
 }

@@ -3,9 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/flow/benchmarks.hpp"
 #include "src/flow/liberty_writer.hpp"
-#include "src/flow/netlist_io.hpp"
 
 namespace stco::flow {
 namespace {
@@ -108,51 +106,6 @@ TEST(LibertyWriter, FileRoundTrip) {
   EXPECT_NE(first.find("library"), std::string::npos);
   EXPECT_THROW(write_liberty_file("/nonexistent_dir/x.lib", tiny_lib()),
                std::runtime_error);
-}
-
-TEST(VerilogWriter, StructureAndInstances) {
-  GateNetlist nl("demo");
-  const NetId a = nl.add_primary_input();
-  const NetId b = nl.add_primary_input();
-  const NetId y = nl.add_gate("NAND2", {a, b});
-  const NetId q = nl.add_flipflop(y);
-  nl.mark_primary_output(q);
-  const std::string v = verilog_text(nl);
-  EXPECT_NE(v.find("module demo (clk, pi0, pi1, po0);"), std::string::npos);
-  EXPECT_NE(v.find("NAND2 u0 (.Y(net2), .A(net0), .B(net1));"), std::string::npos);
-  EXPECT_NE(v.find("DFF u1 (.Q(net3), .D(net2), .CK(clk));"), std::string::npos);
-  EXPECT_NE(v.find("endmodule"), std::string::npos);
-}
-
-TEST(VerilogWriter, AllBenchmarksSerialize) {
-  for (const auto& name : {"s298", "16bit MAC"}) {
-    const auto nl = make_benchmark(name);
-    const std::string v = verilog_text(nl);
-    EXPECT_GT(v.size(), 1000u) << name;
-    // One instance line per gate + FF.
-    std::size_t instances = 0;
-    for (std::size_t pos = 0; (pos = v.find("\n  ", pos)) != std::string::npos; ++pos)
-      if (v.compare(pos + 3, 4, "wire") != 0 && v.compare(pos + 3, 5, "input") != 0 &&
-          v.compare(pos + 3, 6, "output") != 0 && v.compare(pos + 3, 6, "assign") != 0)
-        ++instances;
-    EXPECT_EQ(instances, nl.num_gates() + nl.num_flipflops()) << name;
-  }
-}
-
-TEST(NetlistStats, DepthAndHistogram) {
-  GateNetlist nl("chain");
-  NetId n = nl.add_primary_input();
-  for (int i = 0; i < 5; ++i) n = nl.add_gate("INV", {n});
-  nl.mark_primary_output(n);
-  EXPECT_EQ(logic_depth(nl), 5u);
-  const std::string s = netlist_stats(nl);
-  EXPECT_NE(s.find("5 gates"), std::string::npos);
-  EXPECT_NE(s.find("INV: 5"), std::string::npos);
-  EXPECT_NE(s.find("depth 5"), std::string::npos);
-}
-
-TEST(NetlistStats, MacDepthScalesWithWidth) {
-  EXPECT_GT(logic_depth(make_mac(16)), logic_depth(make_mac(8)));
 }
 
 }  // namespace

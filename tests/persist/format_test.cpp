@@ -105,6 +105,17 @@ TEST_F(FormatTest, MissingFileIsNotFoundNotCorrupt) {
   EXPECT_FALSE(corrupt(got.status));
 }
 
+TEST_F(FormatTest, ReadCountsOnlyFilesThatExist) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
+  std::string got;
+  const std::uint64_t before = obs::snapshot().counter_or("persist.reads");
+  EXPECT_EQ(storage_.read(path("absent.bin"), got), LoadStatus::kNotFound);
+  EXPECT_EQ(obs::snapshot().counter_or("persist.reads"), before);
+  storage_.write_atomic(path("present.bin"), "bytes");
+  EXPECT_EQ(storage_.read(path("present.bin"), got), LoadStatus::kOk);
+  EXPECT_EQ(obs::snapshot().counter_or("persist.reads"), before + 1);
+}
+
 TEST_F(FormatTest, TruncationIsDetected) {
   PayloadWriter w;
   w.put_f64s({1, 2, 3, 4});

@@ -15,7 +15,6 @@
 #include "src/obs/obs.hpp"
 #include "src/persist/fault.hpp"
 #include "src/persist/manifest.hpp"
-#include "src/surrogate/checkpoint.hpp"
 
 namespace stco {
 namespace {
@@ -253,83 +252,6 @@ TEST_F(ResumeTest, CharlibRejectsDegenerateOptions) {
   EXPECT_THROW(charlib::build_charlib_dataset_resumable(
                    corners, opts, charlib::CheckpointOptions{"d", 0, nullptr}),
                std::invalid_argument);
-}
-
-// --- surrogate resume ----------------------------------------------------
-
-surrogate::PopulationOptions tiny_population_opts() {
-  surrogate::PopulationOptions opts;
-  opts.mesh_nx = 10;
-  opts.mesh_nch = 3;
-  opts.mesh_nox = 3;
-  return opts;
-}
-
-TEST_F(ResumeTest, SurrogateKillAndResumeMatchesUninterruptedRun) {
-  const std::size_t count = 6;
-  const std::uint64_t seed = 77;
-  const auto opts = tiny_population_opts();
-
-  // Uninterrupted sharded run (the determinism reference for resume).
-  persist::Storage storage_a(no_sleep());
-  surrogate::CheckpointOptions ckpt_a{sub("a"), /*shard_size=*/2, &storage_a};
-  const auto uninterrupted =
-      surrogate::generate_population_resumable(count, seed, opts, ckpt_a);
-
-  // Killed while writing shard 1, then resumed.
-  persist::FaultInjector kill(/*seed=*/9, persist::FaultKind::kCrashBeforeRename,
-                              /*at_op=*/3);
-  persist::Storage faulty(no_sleep(), &kill);
-  surrogate::CheckpointOptions ckpt_b{sub("b"), /*shard_size=*/2, &faulty};
-  EXPECT_THROW(surrogate::generate_population_resumable(count, seed, opts, ckpt_b),
-               persist::CrashError);
-
-  persist::Storage healthy(no_sleep());
-  surrogate::CheckpointOptions resume{sub("b"), /*shard_size=*/2, &healthy};
-  surrogate::PopulationStats stats;
-  auto opts2 = opts;
-  opts2.stats = &stats;
-  const auto resumed =
-      surrogate::generate_population_resumable(count, seed, opts2, resume);
-
-  ASSERT_EQ(resumed.size(), uninterrupted.size());
-  for (std::size_t i = 0; i < resumed.size(); ++i) {
-    EXPECT_EQ(resumed[i].drain_current, uninterrupted[i].drain_current);
-    EXPECT_EQ(resumed[i].bias.vg, uninterrupted[i].bias.vg);
-    EXPECT_EQ(resumed[i].bias.vd, uninterrupted[i].bias.vd);
-    EXPECT_EQ(resumed[i].device.length, uninterrupted[i].device.length);
-    EXPECT_EQ(resumed[i].device.doping, uninterrupted[i].device.doping);
-    expect_same_graph(resumed[i].poisson_graph, uninterrupted[i].poisson_graph);
-    expect_same_graph(resumed[i].iv_graph, uninterrupted[i].iv_graph);
-  }
-  EXPECT_GT(stats.attempts, 0u);
-}
-
-TEST_F(ResumeTest, SurrogateShardCodecRoundTrips) {
-  const auto opts = tiny_population_opts();
-  const auto pop = surrogate::generate_population(2, /*seed=*/5, opts);
-  ASSERT_EQ(pop.size(), 2u);
-
-  persist::Storage storage(no_sleep());
-  surrogate::PopulationStats stats;
-  stats.attempts = 3;
-  stats.dropped = 1;
-  stats.solver.attempts = 12;
-  surrogate::save_surrogate_shard(storage, sub("s.stca"), pop, stats);
-
-  const auto loaded = surrogate::load_surrogate_shard(storage, sub("s.stca"));
-  ASSERT_TRUE(persist::ok(loaded.status));
-  ASSERT_EQ(loaded.samples.size(), 2u);
-  EXPECT_EQ(loaded.stats.attempts, 3u);
-  EXPECT_EQ(loaded.stats.dropped, 1u);
-  EXPECT_EQ(loaded.stats.solver.attempts, 12u);
-  for (std::size_t i = 0; i < pop.size(); ++i) {
-    EXPECT_EQ(loaded.samples[i].drain_current, pop[i].drain_current);
-    EXPECT_EQ(loaded.samples[i].device.semi.kind, pop[i].device.semi.kind);
-    EXPECT_EQ(loaded.samples[i].device.t_ox, pop[i].device.t_ox);
-    expect_same_graph(loaded.samples[i].poisson_graph, pop[i].poisson_graph);
-    expect_same_graph(loaded.samples[i].iv_graph, pop[i].iv_graph);
-  }
 }
 
 }  // namespace
