@@ -47,15 +47,6 @@ std::vector<std::string> effective_cells(const LibraryBuildOptions& opts) {
   return opts.cell_names.empty() ? mapped_cell_set() : opts.cell_names;
 }
 
-void finalize_sequential(TimingLibrary& lib) {
-  if (!lib.has_cell("DFF")) return;
-  const auto& d = lib.cell("DFF");
-  lib.dff_clk2q = d.delay(d.slew_axis.size() / 2, d.load_axis.size() / 2);
-  lib.dff_cap = d.input_cap;
-  lib.dff_leakage = d.leakage;
-  lib.dff_flip_energy = d.flip_energy;
-}
-
 // Stimulus of a GNN library query: toggle the first data input (the clock
 // of a sequential cell) with the others low — the worst-arc convention the
 // training samples encode.
@@ -105,9 +96,8 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
   using cells::Metric;
   const cells::MetricSet arcs_only{Metric::kDelay, Metric::kOutputSlew};
   const cells::MetricSet centre{Metric::kDelay,       Metric::kOutputSlew,
-                                Metric::kFlipPower,   Metric::kNonFlipPower,
-                                Metric::kCapacitance, Metric::kLeakagePower,
-                                Metric::kMinSetup};
+                                Metric::kFlipPower,   Metric::kCapacitance,
+                                Metric::kLeakagePower, Metric::kMinSetup};
   const std::size_t centre_j = (ns / 2) * nl + nl / 2;
 
   // One task per (cell, slew, load) grid point. Each characterization fans
@@ -157,11 +147,6 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
         if (si == ns / 2 && li == nl / 2) {
           ct.leakage = ch.leakage_power;
           ct.flip_energy = ch.mean_flip_energy();
-          if (!ch.nonflip.empty()) {
-            double e = 0.0;
-            for (const auto& nf : ch.nonflip) e += nf.energy;
-            ct.nonflip_energy = e / static_cast<double>(ch.nonflip.size());
-          }
           for (const auto& [pin, cap] : ch.input_capacitance)
             ct.input_cap = std::max(ct.input_cap, cap);
           if (def.sequential) lib.dff_setup = std::max(lib.dff_setup, ch.min_setup);
@@ -170,7 +155,6 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
     }
     lib.cells.emplace(name, std::move(ct));
   }
-  finalize_sequential(lib);
   return lib;
 }
 
@@ -204,8 +188,7 @@ TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
   using cells::Metric;
   const Metric heads[] = {Metric::kDelay,        Metric::kOutputSlew,
                           Metric::kLeakagePower, Metric::kFlipPower,
-                          Metric::kNonFlipPower, Metric::kCapacitance,
-                          Metric::kMinSetup};
+                          Metric::kCapacitance,  Metric::kMinSetup};
   constexpr std::size_t nh = std::size(heads);
   const std::vector<double> pred = model.predict_batch(graphs, heads, ctx);
 
@@ -230,18 +213,16 @@ TimingLibrary build_library_gnn(const charlib::CellCharModel& model,
     const double* centre = row + centre_j * nh;
     ct.leakage = centre[2];
     ct.flip_energy = centre[3];
-    ct.nonflip_energy = centre[4];
-    ct.input_cap = centre[5];
-    if (def.sequential) lib.dff_setup = std::max(lib.dff_setup, centre[6]);
+    ct.input_cap = centre[4];
+    if (def.sequential) lib.dff_setup = std::max(lib.dff_setup, centre[5]);
     lib.cells.emplace(names[c], std::move(ct));
   }
-  finalize_sequential(lib);
   return lib;
 }
 
 namespace {
 
-constexpr std::uint32_t kLibrarySchema = 1;
+constexpr std::uint32_t kLibrarySchema = 2;
 
 void put_table(persist::PayloadWriter& w, const numeric::Matrix& m) {
   w.put_f64s(std::vector<double>(m.data(), m.data() + m.size()));
@@ -295,14 +276,9 @@ void put_library(persist::PayloadWriter& w, const TimingLibrary& lib) {
     w.put_f64(ct.input_cap);
     w.put_f64(ct.leakage);
     w.put_f64(ct.flip_energy);
-    w.put_f64(ct.nonflip_energy);
     w.put_u64(ct.transistors);
   }
-  w.put_f64(lib.dff_clk2q);
   w.put_f64(lib.dff_setup);
-  w.put_f64(lib.dff_cap);
-  w.put_f64(lib.dff_leakage);
-  w.put_f64(lib.dff_flip_energy);
   persist::put_robustness(w, lib.robustness);
   w.put_u64(lib.dropped_arcs);
   w.put_u64(lib.incomplete_arcs);
@@ -327,16 +303,11 @@ TimingLibrary get_library(persist::PayloadReader& r) {
     ct.input_cap = r.get_f64();
     ct.leakage = r.get_f64();
     ct.flip_energy = r.get_f64();
-    ct.nonflip_energy = r.get_f64();
     ct.transistors = r.get_u64();
     if (!lib.cells.emplace(std::move(name), std::move(ct)).second)
       throw persist::PayloadError("library: repeated cell");
   }
-  lib.dff_clk2q = r.get_f64();
   lib.dff_setup = r.get_f64();
-  lib.dff_cap = r.get_f64();
-  lib.dff_leakage = r.get_f64();
-  lib.dff_flip_energy = r.get_f64();
   lib.robustness = persist::get_robustness(r);
   lib.dropped_arcs = r.get_u64();
   lib.incomplete_arcs = r.get_u64();

@@ -1,7 +1,8 @@
 #pragma once
 // Liberty-style timing library: per-cell NLDM tables (delay and output slew
-// versus input slew x output load), input capacitance, leakage, and
-// switching energies. Two builders fill the same structure:
+// versus input slew x output load), input capacitance, leakage, and flip
+// energy — the numbers static timing and power analysis read, each held
+// once. Two builders fill the same structure:
 //
 //   * build_library_spice — transistor-level characterization through the
 //     SPICE substrate (the paper's "traditional" path, ~1900 s per library
@@ -34,8 +35,7 @@ struct CellTiming {
   numeric::Matrix out_slew;  ///< output slew [s]
   double input_cap = 0.0;    ///< max input pin capacitance [F]
   double leakage = 0.0;      ///< leakage power [W]
-  double flip_energy = 0.0;    ///< mean switching energy per output flip [J]
-  double nonflip_energy = 0.0; ///< internal energy per non-flipping toggle [J]
+  double flip_energy = 0.0;  ///< mean switching energy per output flip [J]
   std::size_t transistors = 0;
 
   double delay_at(double slew, double load) const;
@@ -45,12 +45,9 @@ struct CellTiming {
 struct TimingLibrary {
   compact::TechnologyPoint tech;
   std::map<std::string, CellTiming> cells;
-  // Sequential parameters (from the DFF entry).
-  double dff_clk2q = 0.0;
+  /// Setup time of the sequential cells (the maximum over them) [s]. The
+  /// rest of a flip-flop's timing and power is its "DFF" CellTiming.
   double dff_setup = 0.0;
-  double dff_cap = 0.0;
-  double dff_leakage = 0.0;
-  double dff_flip_energy = 0.0;
 
   // Robustness accounting from the build. `complete` goes false when some
   // cell lost every timing arc at a grid point (to simulation failures or
@@ -83,7 +80,8 @@ struct LibraryBuildOptions {
 /// measurements out on the same context; results merge in grid order, so the
 /// library is bit-identical for any thread count. Off-centre grid points
 /// measure the arcs' delay and slew only; the centre point also measures the
-/// scalar metrics the library keeps (leakage, energies, capacitance, setup).
+/// scalar metrics the library keeps (leakage, flip energy, capacitance,
+/// setup).
 TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
                                   const LibraryBuildOptions& opts = {},
                                   const exec::Context& ctx = exec::Context::serial());
@@ -93,7 +91,7 @@ TimingLibrary build_library_spice(const compact::TechnologyPoint& tech,
 /// once and the whole library is one batched forward (model.predict_batch);
 /// both run the graphs as tasks on `ctx`. The shared trunk runs once per
 /// graph and feeds the delay and slew heads at every grid point and the
-/// scalar heads (leakage, energies, capacitance, setup) read at each cell's
+/// scalar heads (leakage, flip energy, capacitance, setup) read at each cell's
 /// centre point. Each graph's forward is independent of the batch, so the
 /// library is bit-identical to single-graph predictions and for any thread
 /// count.

@@ -38,9 +38,8 @@ void write_table(std::ostream& os, const char* group, const numeric::Matrix& t,
 
 }  // namespace
 
-void write_liberty(std::ostream& os, const TimingLibrary& lib,
-                   const LibertyWriteOptions& opts) {
-  os << "library (" << opts.library_name << ") {\n";
+void write_liberty(std::ostream& os, const TimingLibrary& lib) {
+  os << "library (fast_stco_lib) {\n";
   os << "  /* generated by fast-stco; technology "
      << tcad::to_string(lib.tech.kind) << ", VDD " << lib.tech.vdd << " V, Vth "
      << lib.tech.vth << " V, Cox " << lib.tech.cox << " F/m^2 */\n";
@@ -78,12 +77,9 @@ void write_liberty(std::ostream& os, const TimingLibrary& lib,
     write_table(os, "cell_rise", ct.delay, kToNs);
     write_table(os, "rise_transition", ct.out_slew, kToNs);
     os << "      }\n";
-    if (opts.include_power) {
-      os << "      internal_power () {\n        /* pJ per transition */\n";
-      os << "        rise_power_value : " << ct.flip_energy * kToPj << ";\n";
-      os << "        non_flip_power_value : " << ct.nonflip_energy * kToPj << ";\n";
-      os << "      }\n";
-    }
+    os << "      internal_power () {\n        /* pJ per transition */\n";
+    os << "        rise_power_value : " << ct.flip_energy * kToPj << ";\n";
+    os << "      }\n";
     os << "    }\n";
     if (def.sequential) {
       os << "    ff (IQ) {\n      clocked_on : \"" << def.clock_pin
@@ -96,15 +92,14 @@ void write_liberty(std::ostream& os, const TimingLibrary& lib,
   os << "}\n";
 }
 
-std::string liberty_text(const TimingLibrary& lib, const LibertyWriteOptions& opts) {
+std::string liberty_text(const TimingLibrary& lib) {
   std::ostringstream ss;
-  write_liberty(ss, lib, opts);
+  write_liberty(ss, lib);
   return ss.str();
 }
 
-void write_liberty_file(const std::string& path, const TimingLibrary& lib,
-                        const LibertyWriteOptions& opts) {
-  persist::default_storage().write_atomic(path, liberty_text(lib, opts));
+void write_liberty_file(const std::string& path, const TimingLibrary& lib) {
+  persist::default_storage().write_atomic(path, liberty_text(lib));
 }
 
 }  // namespace stco::flow

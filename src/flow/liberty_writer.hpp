@@ -2,7 +2,7 @@
 // Liberty (.lib) text export for a TimingLibrary — the interchange format
 // downstream synthesis/STA tools consume. Emits library-level units, one
 // cell group per entry with leakage, pin capacitance, NLDM delay and
-// output-slew tables (lu_table_template), and internal power.
+// output-slew tables (lu_table_template), and internal (flip) power.
 
 #include <iosfwd>
 #include <string>
@@ -11,23 +11,15 @@
 
 namespace stco::flow {
 
-struct LibertyWriteOptions {
-  std::string library_name = "fast_stco_lib";
-  /// Time values are written in ns, capacitance in pF, power in nW,
-  /// energy in pJ (Liberty conventions).
-  bool include_power = true;
-};
-
-/// Serialize the library as Liberty text.
-void write_liberty(std::ostream& os, const TimingLibrary& lib,
-                   const LibertyWriteOptions& opts = {});
+/// Serialize the library as Liberty text, as library `fast_stco_lib`. Time
+/// values are written in ns, capacitance in pF, power in nW and energy in pJ
+/// (Liberty conventions).
+void write_liberty(std::ostream& os, const TimingLibrary& lib);
 
 /// Convenience: to a string.
-std::string liberty_text(const TimingLibrary& lib,
-                         const LibertyWriteOptions& opts = {});
+std::string liberty_text(const TimingLibrary& lib);
 
 /// Convenience: to a file; throws on I/O failure.
-void write_liberty_file(const std::string& path, const TimingLibrary& lib,
-                        const LibertyWriteOptions& opts = {});
+void write_liberty_file(const std::string& path, const TimingLibrary& lib);
 
 }  // namespace stco::flow

@@ -46,6 +46,8 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
   const auto& fanout = plan.fanout();
   if (gate_cells.size() != gates.size() || fanout.size() != nl.num_nets())
     throw std::invalid_argument("analyze: StaPlan compiled for another netlist");
+  if (!(opts.activity >= 0.0))
+    throw std::invalid_argument("analyze: activity must be non-negative");
   // One lookup per distinct cell (throws on a cell the library lacks); the
   // footprint depends on the cell alone, so it is computed once too.
   std::vector<const CellTiming*> cells;
@@ -56,6 +58,11 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
     cells.push_back(&lib.cell(name));
     cell_areas.push_back(cell_area(*cells.back(), lib.tech));
   }
+  // Flip-flops are the DFF cell, looked up only when the netlist has some;
+  // its centre delay is clock-to-Q.
+  const CellTiming* dff = nl.num_flipflops() > 0 ? &lib.cell("DFF") : nullptr;
+  const double clk2q =
+      dff ? dff->delay(dff->slew_axis.size() / 2, dff->load_axis.size() / 2) : 0.0;
 
   StaReport rep;
   rep.num_gates = nl.num_gates();
@@ -70,7 +77,7 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
     const double cap = cells[gate_cells[k]]->input_cap;
     for (NetId in : gates[k].fanin) load[in] += cap;
   }
-  for (const auto& ff : nl.flipflops()) load[ff.d] += lib.dff_cap;
+  for (const auto& ff : nl.flipflops()) load[ff.d] += dff->input_cap;
   for (NetId po : nl.primary_outputs()) load[po] += opts.primary_output_load;
   for (std::size_t i = 0; i < n; ++i)
     load[i] += opts.wire_cap_per_fanout * static_cast<double>(fanout[i]);
@@ -81,7 +88,7 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
     slew[pi] = opts.primary_input_slew;
   }
   for (const auto& ff : nl.flipflops()) {
-    arrival[ff.q] = lib.dff_clk2q;
+    arrival[ff.q] = clk2q;
     slew[ff.q] = opts.primary_input_slew;
   }
 
@@ -112,26 +119,20 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
   rep.min_period = crit * opts.clock_margin;
   rep.fmax = rep.min_period > 0 ? 1.0 / rep.min_period : 0.0;
 
-  // Power at fmax. Output-flip energy scales with the output's toggle
-  // rate; internal (non-flip) energy with the inputs' rate in excess of it.
-  // Every net toggles at opts.activity, so the non-flip term is zero, but it
-  // stays in the sum so a non-finite nonflip_energy still reaches the report.
-  const double a_out = opts.activity;
-  const double a_fanin = std::max(0.0, opts.activity);  // max over >= 1 input
+  // Power at fmax: every net toggles at opts.activity, and each output flip
+  // costs the cell's flip energy.
   double dyn_energy_per_cycle = 0.0, leak = 0.0, area = 0.0;
   for (std::size_t k = 0; k < gates.size(); ++k) {
     const CellTiming& ct = *cells[gate_cells[k]];
-    const double a_in = gates[k].fanin.empty() ? 0.0 : a_fanin;
-    dyn_energy_per_cycle +=
-        a_out * ct.flip_energy + std::max(0.0, a_in - a_out) * ct.nonflip_energy;
+    dyn_energy_per_cycle += opts.activity * ct.flip_energy;
     leak += ct.leakage;
     area += cell_areas[gate_cells[k]];
   }
-  if (lib.has_cell("DFF")) {
-    const double dff_area = cell_area(lib.cell("DFF"), lib.tech);
+  if (dff) {
+    const double dff_area = cell_area(*dff, lib.tech);
     for (std::size_t k = 0; k < nl.num_flipflops(); ++k) {
-      dyn_energy_per_cycle += opts.activity * lib.dff_flip_energy;
-      leak += lib.dff_leakage;
+      dyn_energy_per_cycle += opts.activity * dff->flip_energy;
+      leak += dff->leakage;
       area += dff_area;
     }
   }

@@ -67,9 +67,12 @@ class StaPlan {
 /// Run static timing + power + area analysis of `nl`, compiled as `plan`.
 /// Loads, leakage, area and energy accumulate per gate in gate order (not
 /// weighted by cell counts, which would round differently), so the report
-/// does not depend on how often a plan is reused. Throws
-/// std::invalid_argument when the library lacks a cell the netlist uses or
-/// the plan was compiled for a netlist of another size.
+/// does not depend on how often a plan is reused. Flip-flops are timed and
+/// powered as the library's "DFF" cell, with its centre delay as clock-to-Q
+/// and TimingLibrary::dff_setup as setup. Throws std::invalid_argument when
+/// the library lacks a cell the netlist uses (DFF included, when the netlist
+/// has flip-flops), when the plan was compiled for a netlist of another
+/// size, or when opts.activity is negative or NaN.
 StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
                   const TimingLibrary& lib, const StaOptions& opts = {});
 

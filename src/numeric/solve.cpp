@@ -340,58 +340,6 @@ void finish_iterative(IterativeResult& res, std::size_t max_iter, bool breakdown
 
 }  // namespace
 
-IterativeResult solve_cg(const SparseMatrix& a, const Vec& b, double tol,
-                         std::size_t max_iter, const Preconditioner* precond) {
-  const std::size_t n = b.size();
-  if (max_iter == 0) max_iter = 4 * n + 100;
-  IterativeResult res;
-  res.x.assign(n, 0.0);
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    res.converged = true;
-    finish_iterative(res, max_iter, false);
-    return res;
-  }
-  JacobiPreconditioner jacobi;
-  if (!precond) {
-    jacobi.refresh(a);
-    precond = &jacobi;
-  }
-
-  Vec r = b;  // x0 = 0
-  Vec z, ap;
-  precond->apply(r, z);
-  Vec p = z;
-  double rz = dot(r, z);
-
-  bool breakdown = false;
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    a.apply(p, ap);
-    const double pap = dot(p, ap);
-    if (std::fabs(pap) < 1e-300) {
-      breakdown = true;
-      break;
-    }
-    const double alpha = rz / pap;
-    axpy(alpha, p, res.x);
-    axpy(-alpha, ap, r);
-    res.iterations = it + 1;
-    res.residual = norm2(r) / bnorm;
-    if (res.residual < tol) {
-      res.converged = true;
-      break;
-    }
-    if (!std::isfinite(res.residual)) break;
-    precond->apply(r, z);
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  finish_iterative(res, max_iter, breakdown);
-  return res;
-}
-
 IterativeResult solve_bicgstab(const SparseMatrix& a, const Vec& b, double tol,
                                std::size_t max_iter, const Preconditioner* precond) {
   const std::size_t n = b.size();

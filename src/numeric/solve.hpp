@@ -123,12 +123,6 @@ Vec solve_dense(const Matrix& a, const Vec& b);
 /// `lower`, `diag`, `upper` have sizes n-1, n, n-1.
 Vec solve_tridiagonal(const Vec& lower, const Vec& diag, const Vec& upper, const Vec& b);
 
-/// Preconditioned conjugate gradient (A must be SPD). `precond == nullptr`
-/// falls back to Jacobi scaling built from `a`'s diagonal.
-[[nodiscard]] IterativeResult solve_cg(const SparseMatrix& a, const Vec& b,
-                                       double tol = 1e-10, std::size_t max_iter = 0,
-                                       const Preconditioner* precond = nullptr);
-
 /// Preconditioned BiCGSTAB for general nonsymmetric systems.
 /// `precond == nullptr` falls back to Jacobi scaling from `a`'s diagonal.
 [[nodiscard]] IterativeResult solve_bicgstab(const SparseMatrix& a, const Vec& b,

@@ -61,15 +61,6 @@ void SparseMatrix::apply(const Vec& x, Vec& y) const {
   }
 }
 
-Vec SparseMatrix::apply_transpose(const Vec& x) const {
-  if (x.size() != rows_) throw std::invalid_argument("SparseMatrix::apply_transpose: shape");
-  Vec y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      y[col_idx_[k]] += values_[k] * x[r];
-  return y;
-}
-
 void SparseMatrix::refill(const TripletBuilder& b) {
   if (b.rows() != rows_ || b.cols() != cols_)
     throw std::invalid_argument("SparseMatrix::refill: shape");

@@ -61,8 +61,6 @@ class SparseMatrix {
   /// Allocation-free once `y` has capacity; the Krylov solvers call this
   /// every iteration.
   void apply(const Vec& x, Vec& y) const;
-  /// y = A^T x
-  Vec apply_transpose(const Vec& x) const;
 
   /// Refill values from a builder with the *same* sparsity pattern; cheap
   /// path for Newton loops. Throws if the pattern does not match.

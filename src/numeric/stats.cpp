@@ -68,32 +68,6 @@ double r_squared(const Vec& predicted, const Vec& actual) {
   return 1.0 - ss_res / ss_tot;
 }
 
-double mae(const Vec& predicted, const Vec& actual) {
-  check_pair(predicted, actual);
-  double s = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) s += std::fabs(predicted[i] - actual[i]);
-  return s / static_cast<double>(actual.size());
-}
-
-double max_abs_error(const Vec& predicted, const Vec& actual) {
-  check_pair(predicted, actual);
-  double m = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i)
-    m = std::max(m, std::fabs(predicted[i] - actual[i]));
-  return m;
-}
-
-double interp1(const Vec& xs, const Vec& ys, double x) {
-  if (xs.size() != ys.size() || xs.empty()) throw std::invalid_argument("interp1: sizes");
-  if (xs.size() == 1 || x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
 Bilinear bilinear(const Vec& xs, const Vec& ys, double x, double y) {
   if (xs.empty() || ys.empty()) throw std::invalid_argument("interp2: sizes");
 

@@ -27,15 +27,6 @@ double mape(const Vec& predicted, const Vec& actual, double floor = 1e-30);
 /// Coefficient of determination R^2 = 1 - SS_res / SS_tot.
 double r_squared(const Vec& predicted, const Vec& actual);
 
-/// Mean absolute error.
-double mae(const Vec& predicted, const Vec& actual);
-
-/// Max absolute error.
-double max_abs_error(const Vec& predicted, const Vec& actual);
-
-/// Linear 1D interpolation on a sorted grid; clamps outside the range.
-double interp1(const Vec& xs, const Vec& ys, double x);
-
 /// Bilinear interpolation on sorted axes; clamps outside the table.
 /// `table` is row-major with rows indexed by xs and columns by ys.
 double interp2(const Vec& xs, const Vec& ys, const Matrix& table, double x, double y);

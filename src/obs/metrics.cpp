@@ -254,11 +254,12 @@ Snapshot Snapshot::delta_since(const Snapshot& prev) const {
     sd.max_ns = cur.max_ns;
     d.spans[k] = sd;
   }
+  // Rate and ETA drift with the clock while the counts stand still, so only
+  // a count change makes a progress entry news (it carries both).
   for (const auto& [k, cur] : progress) {
     const auto it = prev.progress.find(k);
     if (it == prev.progress.end() || it->second.done != cur.done ||
-        it->second.total != cur.total ||
-        it->second.eta_seconds != cur.eta_seconds)
+        it->second.total != cur.total)
       d.progress[k] = cur;
   }
   return d;

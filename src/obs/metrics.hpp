@@ -199,6 +199,8 @@ struct Snapshot {
   ///   * histogram shrank or changed bounds -> emitted in full (merge then
   ///     overwrites)
   ///   * empty histograms and zero deltas -> omitted
+  ///   * progress -> emitted in full when done or total changed (a rate or
+  ///     ETA that moved with the clock alone is not a change)
   [[nodiscard]] Snapshot delta_since(const Snapshot& prev) const;
 
   /// Single-object JSON: {"obs_schema_version":2,"counters":{...},

@@ -92,13 +92,4 @@ std::optional<double> final_voltage(const TranResult& tr, NodeId node) {
   return tr.v.back()[node];
 }
 
-bool stays_near(const TranResult& tr, NodeId node, double level, double tol, double t0,
-                double t1) {
-  for (std::size_t k = 0; k < tr.samples(); ++k) {
-    if (tr.time[k] < t0 || tr.time[k] > t1) continue;
-    if (std::fabs(tr.v[k][node] - level) > tol) return false;
-  }
-  return true;
-}
-
 }  // namespace stco::spice

@@ -49,8 +49,4 @@ std::optional<double> supply_energy(const TranResult& tr, std::size_t src,
 /// converge (the "final" sample would be wherever the run aborted).
 std::optional<double> final_voltage(const TranResult& tr, NodeId node);
 
-/// True if the node stays within `tol` of `level` over [t0, t1].
-bool stays_near(const TranResult& tr, NodeId node, double level, double tol, double t0,
-                double t1);
-
 }  // namespace stco::spice

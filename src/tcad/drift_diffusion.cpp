@@ -91,10 +91,10 @@ DriftDiffusionSolution solve_dd_once(const TftDevice& dev, const Bias& bias,
     PoissonOptions popts;
     popts.temperature_k = opts.temperature_k;
     // The Gummel loop has its own continuation ladder above this function;
-    // give the initializer a direct shot only so failures surface here.
+    // give the initializer a direct shot only so failures surface here. The
+    // solution's stats count that ladder alone, not the initializer's.
     popts.continuation.enabled = false;
     const auto init = solve_poisson(dev, bias, m, popts, ctx);
-    sol.stats.merge(init.stats);
     sol.potential = init.potential;
     sol.electron_density = init.electron_density;
     sol.hole_density = init.hole_density;

@@ -287,11 +287,6 @@ Tensor sigmoid(const Tensor& a) {
                [](double, double y) { return y * (1.0 - y); });
 }
 
-Tensor exp_t(const Tensor& a) {
-  return unary(a, [](double x) { return std::exp(x); },
-               [](double, double y) { return y; });
-}
-
 Tensor softplus(const Tensor& a) {
   return unary(
       a,
@@ -309,10 +304,6 @@ Tensor sum_all(const Tensor& a) {
   for (double v : a.value()) s += v;
   out.value()[0] = s;
   return out;
-}
-
-Tensor mean_all(const Tensor& a) {
-  return scale(sum_all(a), 1.0 / static_cast<double>(a.size()));
 }
 
 Tensor mean_rows(const Tensor& a) {
@@ -423,22 +414,6 @@ Tensor concat_cols(const std::vector<Tensor>& parts) {
       for (std::size_t c = 0; c < pc; ++c)
         v[r * total + offsets[k] + c] = pv[r * pc + c];
   }
-  return out;
-}
-
-Tensor slice_cols(const Tensor& a, std::size_t c0, std::size_t c1) {
-  if (c0 >= c1 || c1 > a.cols()) throw std::invalid_argument("slice_cols: range");
-  const std::size_t rows = a.rows(), cols = a.cols(), w = c1 - c0;
-  Tensor out = Tensor::make_op(rows, w, {a}, [rows, cols, c0, w](Node& n) {
-    Node& p = *n.parents[0];
-    if (!p.requires_grad) return;
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < w; ++c)
-        p.grad[r * cols + c0 + c] += n.grad[r * w + c];
-  });
-  auto& v = out.value();
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < w; ++c) v[r * w + c] = a.value()[r * cols + c0 + c];
   return out;
 }
 
@@ -609,26 +584,6 @@ Tensor mse_loss(const Tensor& pred, const Tensor& target) {
     const double d = pred.value()[i] - target.value()[i];
     s += d * d;
   }
-  out.value()[0] = s / static_cast<double>(n);
-  return out;
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  if (pred.rows() != target.rows() || pred.cols() != target.cols())
-    throw std::invalid_argument("l1_loss: shape");
-  const std::size_t n = pred.size();
-  Tensor out = Tensor::make_op(1, 1, {pred, target}, [n](Node& node) {
-    Node& p = *node.parents[0];
-    const Node& t = *node.parents[1];
-    if (!p.requires_grad) return;
-    const double sc = node.grad[0] / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = p.value[i] - t.value[i];
-      p.grad[i] += sc * (d > 0 ? 1.0 : (d < 0 ? -1.0 : 0.0));
-    }
-  });
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += std::fabs(pred.value()[i] - target.value()[i]);
   out.value()[0] = s / static_cast<double>(n);
   return out;
 }

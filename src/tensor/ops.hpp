@@ -38,12 +38,10 @@ Tensor leaky_relu(const Tensor& a, double alpha = 0.2);
 Tensor elu(const Tensor& a, double alpha = 1.0);
 Tensor tanh_t(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
-Tensor exp_t(const Tensor& a);
 Tensor softplus(const Tensor& a);
 
 // --- reductions -----------------------------------------------------------
 Tensor sum_all(const Tensor& a);
-Tensor mean_all(const Tensor& a);
 /// Column means: N x F -> 1 x F (global mean pooling on a single graph).
 Tensor mean_rows(const Tensor& a);
 /// Per-segment column means: N x F with seg[i] in [0, n_seg) -> n_seg x F.
@@ -60,7 +58,6 @@ Tensor segment_mean_offsets(const Tensor& a, const IndexVec& offsets);
 
 // --- structure ------------------------------------------------------------
 Tensor concat_cols(const std::vector<Tensor>& parts);
-Tensor slice_cols(const Tensor& a, std::size_t c0, std::size_t c1);
 /// out[i, :] = a[idx[i], :]
 Tensor gather_rows(const Tensor& a, const IndexVec& idx);
 /// out[idx[i], :] += a[i, :]; out has n_rows rows.
@@ -83,7 +80,5 @@ Tensor layer_norm(const Tensor& x, const Tensor& gain, const Tensor& bias,
 /// Mean squared error against a constant target (gradients do not flow into
 /// `target` even if it requires grad).
 Tensor mse_loss(const Tensor& pred, const Tensor& target);
-/// Mean absolute error.
-Tensor l1_loss(const Tensor& pred, const Tensor& target);
 
 }  // namespace stco::tensor

@@ -86,13 +86,11 @@ TEST(LibertyWriter, EmitsCellValuesInLibertyUnits) {
   EXPECT_TRUE(has(cell, table("cell_rise", ct.delay)));
   EXPECT_TRUE(has(cell, table("rise_transition", ct.out_slew)));
   EXPECT_TRUE(has(cell, cat("rise_power_value : ", fmt(ct.flip_energy * 1e12), ";")));
-  EXPECT_TRUE(has(cell, cat("non_flip_power_value : ", fmt(ct.nonflip_energy * 1e12), ";")));
   EXPECT_TRUE(has(text, cat("setup_time : ", fmt(lib.dff_setup * 1e9), ";")));
   // Nonzero values, so a dropped scale factor cannot pass as 0 == 0.
   EXPECT_GT(ct.leakage, 0.0);
   EXPECT_GT(ct.input_cap, 0.0);
   EXPECT_GT(ct.flip_energy, 0.0);
-  EXPECT_GT(ct.nonflip_energy, 0.0);
   EXPECT_GT(lib.dff_setup, 0.0);
 }
 

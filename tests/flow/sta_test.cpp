@@ -36,9 +36,7 @@ TEST(Liberty, SpiceLibraryCoversMappedCells) {
       for (std::size_t li = 0; li < ct.load_axis.size(); ++li)
         EXPECT_GT(ct.delay(si, li), 0.0) << name;
   }
-  EXPECT_GT(lib.dff_clk2q, 0.0);
   EXPECT_GT(lib.dff_setup, 0.0);
-  EXPECT_GT(lib.dff_cap, 0.0);
 }
 
 TEST(Liberty, DelayIncreasesWithLoad) {
@@ -141,7 +139,7 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
     }
   }
   for (const auto& ff : nl.flipflops()) {
-    load[ff.d] += lib.dff_cap;
+    load[ff.d] += lib.cell("DFF").input_cap;
     ++fanout[ff.d];
   }
   for (NetId po : nl.primary_outputs()) load[po] += opts.primary_output_load;
@@ -153,7 +151,8 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
     slew[pi] = opts.primary_input_slew;
   }
   for (const auto& ff : nl.flipflops()) {
-    arrival[ff.q] = lib.dff_clk2q;
+    const auto& dff = lib.cell("DFF");
+    arrival[ff.q] = dff.delay(dff.slew_axis.size() / 2, dff.load_axis.size() / 2);
     slew[ff.q] = opts.primary_input_slew;
   }
 
@@ -178,24 +177,18 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
   rep.min_period = crit * opts.clock_margin;
   rep.fmax = rep.min_period > 0 ? 1.0 / rep.min_period : 0.0;
 
-  const double a_out = opts.activity;
-  const double a_fanin = std::max(0.0, opts.activity);
   double dyn_energy_per_cycle = 0.0, leak = 0.0, area = 0.0;
   for (const auto& g : nl.gates()) {
     const auto& ct = lib.cell(g.cell);
-    const double a_in = g.fanin.empty() ? 0.0 : a_fanin;
-    dyn_energy_per_cycle +=
-        a_out * ct.flip_energy + std::max(0.0, a_in - a_out) * ct.nonflip_energy;
+    dyn_energy_per_cycle += opts.activity * ct.flip_energy;
     leak += ct.leakage;
     area += cell_area(ct, lib.tech);
   }
-  if (lib.has_cell("DFF")) {
-    const auto& dffct = lib.cell("DFF");
-    for (std::size_t k = 0; k < nl.num_flipflops(); ++k) {
-      dyn_energy_per_cycle += opts.activity * lib.dff_flip_energy;
-      leak += lib.dff_leakage;
-      area += cell_area(dffct, lib.tech);
-    }
+  for (std::size_t k = 0; k < nl.num_flipflops(); ++k) {
+    const auto& dff = lib.cell("DFF");
+    dyn_energy_per_cycle += opts.activity * dff.flip_energy;
+    leak += dff.leakage;
+    area += cell_area(dff, lib.tech);
   }
   rep.dynamic_power = dyn_energy_per_cycle * rep.fmax;
   rep.leakage_power = leak;
@@ -230,14 +223,14 @@ void expect_same_report(const StaReport& a, const StaReport& b) {
 TEST(StaPlan, MatchesNameBasedAnalysisBitForBit) {
   TimingLibrary nan_lib = spice_lib();
   for (auto& [name, ct] : nan_lib.cells)
-    ct.nonflip_energy = std::numeric_limits<double>::quiet_NaN();
+    ct.flip_energy = std::numeric_limits<double>::quiet_NaN();
   for (const auto& name : table1_benchmarks()) {
     SCOPED_TRACE(name);
     const GateNetlist nl = make_benchmark(name);
     const StaPlan plan(nl);
     const TimingLibrary* libs[] = {&spice_lib(), &nan_lib};
     for (const TimingLibrary* lib : libs) {
-      for (const double activity : {0.15, 0.3, -0.1}) {
+      for (const double activity : {0.15, 0.3}) {
         SCOPED_TRACE(activity);
         StaOptions opts;
         opts.activity = activity;
@@ -264,13 +257,32 @@ TEST(StaPlan, ResolvesEachDistinctCellOnce) {
     EXPECT_EQ(plan.cell_names()[plan.gate_cells()[k]], nl.gates()[k].cell);
 }
 
+/// A gate cell or, for a netlist with flip-flops, the DFF cell.
 TEST(StaPlan, MissingLibraryCellThrows) {
   const GateNetlist nl = make_benchmark("s298");
+  ASSERT_GT(nl.num_flipflops(), 0u);
   const StaPlan plan(nl);
-  TimingLibrary lib = spice_lib();
-  ASSERT_EQ(lib.cells.erase("NAND2"), 1u);
-  EXPECT_THROW(analyze(nl, plan, lib), std::invalid_argument);
-  EXPECT_THROW(analyze(nl, lib), std::invalid_argument);
+  for (const char* missing : {"NAND2", "DFF"}) {
+    SCOPED_TRACE(missing);
+    TimingLibrary lib = spice_lib();
+    ASSERT_EQ(lib.cells.erase(missing), 1u);
+    EXPECT_THROW(analyze(nl, plan, lib), std::invalid_argument);
+    EXPECT_THROW(analyze(nl, lib), std::invalid_argument);
+  }
+}
+
+TEST(StaPlan, NegativeOrNanActivityThrows) {
+  const GateNetlist nl = make_benchmark("s298");
+  const StaPlan plan(nl);
+  for (const double activity : {-0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(activity);
+    StaOptions opts;
+    opts.activity = activity;
+    EXPECT_THROW(analyze(nl, plan, spice_lib(), opts), std::invalid_argument);
+  }
+  StaOptions zero;
+  zero.activity = 0.0;
+  EXPECT_EQ(analyze(nl, plan, spice_lib(), zero).dynamic_power, 0.0);
 }
 
 TEST(StaPlan, IllegalNetlistThrowsAtCompile) {

@@ -62,34 +62,6 @@ TEST(Tridiagonal, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
-SparseMatrix laplacian_1d(std::size_t n) {
-  TripletBuilder b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b.add(i, i, 2.0);
-    if (i > 0) b.add(i, i - 1, -1.0);
-    if (i + 1 < n) b.add(i, i + 1, -1.0);
-  }
-  return SparseMatrix::from_triplets(b);
-}
-
-TEST(Cg, SolvesSpdLaplacian) {
-  const std::size_t n = 50;
-  const auto a = laplacian_1d(n);
-  Vec x_true(n);
-  for (std::size_t i = 0; i < n; ++i) x_true[i] = std::sin(0.3 * static_cast<double>(i));
-  const Vec b = a.apply(x_true);
-  const auto res = solve_cg(a, b, 1e-12);
-  ASSERT_TRUE(res.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(res.x[i], x_true[i], 1e-8);
-}
-
-TEST(Cg, ZeroRhsConvergesImmediately) {
-  const auto a = laplacian_1d(5);
-  const auto res = solve_cg(a, Vec(5, 0.0));
-  EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.iterations, 0u);
-}
-
 TEST(BiCgStab, SolvesNonsymmetricSystem) {
   const std::size_t n = 40;
   TripletBuilder b(n, n);

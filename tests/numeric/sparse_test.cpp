@@ -38,18 +38,6 @@ TEST(Sparse, Apply) {
   EXPECT_DOUBLE_EQ(y[2], -2.0);
 }
 
-TEST(Sparse, ApplyTransposeMatchesDense) {
-  TripletBuilder b(2, 3);
-  b.add(0, 0, 1.0);
-  b.add(0, 2, 2.0);
-  b.add(1, 1, 3.0);
-  const auto m = SparseMatrix::from_triplets(b);
-  const Vec y = m.apply_transpose({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(y[0], 1.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], 2.0);
-}
-
 TEST(Sparse, RefillSamePattern) {
   TripletBuilder b(2, 2);
   b.add(0, 0, 1.0);

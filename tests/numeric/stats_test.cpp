@@ -40,20 +40,6 @@ TEST(Stats, RSquared) {
   EXPECT_NEAR(r_squared(p, a), 0.0, 1e-12);
 }
 
-TEST(Stats, MaeMaxAbs) {
-  const Vec p{1, 5}, a{2, 2};
-  EXPECT_DOUBLE_EQ(mae(p, a), 2.0);
-  EXPECT_DOUBLE_EQ(max_abs_error(p, a), 3.0);
-}
-
-TEST(Interp, Interp1ClampsAndInterpolates) {
-  const Vec xs{0, 1, 2}, ys{0, 10, 40};
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, -3.0), 0.0);   // clamp low
-  EXPECT_DOUBLE_EQ(interp1(xs, ys, 99.0), 40.0);  // clamp high
-}
-
 TEST(Interp, Interp2Bilinear) {
   const Vec xs{0, 1}, ys{0, 1};
   Matrix t{{0, 1}, {2, 3}};

@@ -170,6 +170,17 @@ TEST(SnapshotDelta, UnchangedStateYieldsEmptyDelta) {
   EXPECT_TRUE(s.delta_since(s).empty());
 }
 
+TEST(SnapshotDelta, ProgressWithUnchangedCountsYieldsEmptyDelta) {
+  // An unfinished task's rate and ETA move with the clock between samples;
+  // with done and total unchanged there is nothing to report.
+  Snapshot prev, cur;
+  prev.progress["test.d.p"] = {1, 4, 2.0, 1.5};
+  cur.progress["test.d.p"] = {1, 4, 1.0, 3.0};
+  EXPECT_TRUE(cur.delta_since(prev).empty());
+  cur.progress["test.d.p"] = {2, 4, 2.0, 1.0};
+  ASSERT_NE(cur.delta_since(prev).progress_or_null("test.d.p"), nullptr);
+}
+
 TEST(SnapshotDelta, DeltaStreamFoldsBackIntoTotals) {
   // Three successive states; merging the start record plus every delta in
   // order must reconstruct the last state exactly.

@@ -222,7 +222,7 @@ class LibraryDecoderTest : public ::testing::Test {
     return flow::get_library(r);
   }
 
-  void expect_counted_rebuild(const std::string& payload, std::uint32_t schema = 1) {
+  void expect_counted_rebuild(const std::string& payload, std::uint32_t schema = 2) {
     persist::write_artifact(persist::default_storage(), path(), persist::kind::kLibrary,
                             schema, payload);
     const std::uint64_t before = corrupt_count();
@@ -279,7 +279,9 @@ TEST_F(LibraryDecoderTest, OversizedAxisCountIsRebuilt) {
   expect_counted_rebuild(with_u64(payload_, axis_offset, std::uint64_t{1} << 61));
 }
 
-TEST_F(LibraryDecoderTest, WrongSchemaIsRebuilt) { expect_counted_rebuild(payload_, 2); }
+// Schema 1 held non-flip energy and copies of the DFF cell's numbers: a
+// store written before they left the library is counted and rebuilt.
+TEST_F(LibraryDecoderTest, WrongSchemaIsRebuilt) { expect_counted_rebuild(payload_, 1); }
 
 TEST_F(LibraryDecoderTest, OtherTechnologyPointIsRebuilt) {
   flow::TimingLibrary lib = pristine();

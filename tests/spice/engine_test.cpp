@@ -181,16 +181,6 @@ TEST(Measure, TransitionTimeOnRamp) {
   EXPECT_NEAR(*tt, 0.8e-6, 0.05e-6);  // 10% -> 90% of a 1 us ramp
 }
 
-TEST(Measure, StaysNear) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  nl.add_vsource("V1", in, kGround, Waveform::dc(2.0));
-  nl.add_resistor("R", in, kGround, 1e3);
-  const auto tr = transient(nl, 1e-6, 1e-7);
-  EXPECT_TRUE(stays_near(tr, in, 2.0, 0.01, 0.0, 1e-6));
-  EXPECT_FALSE(stays_near(tr, in, 1.0, 0.01, 0.0, 1e-6));
-}
-
 
 TEST(DcOp, CurrentSourceIntoResistor) {
   // 1 mA into a 1 kOhm to ground: node rises to 1 V.

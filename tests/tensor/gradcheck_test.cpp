@@ -57,15 +57,15 @@ TEST(GradCheck, AddSameShapeAndRowBroadcastAndScalar) {
   auto a = random_tensor(3, 3, rng);
   auto b = random_tensor(3, 3, rng);
   gradcheck([](const std::vector<Tensor>& l) {
-    return mean_all(mul(add(l[0], l[1]), l[0]));
+    return sum_all(mul(add(l[0], l[1]), l[0]));
   }, {a, b});
   auto bias = random_tensor(1, 3, rng);
   gradcheck([](const std::vector<Tensor>& l) {
-    return mean_all(mul(add(l[0], l[1]), l[0]));
+    return sum_all(mul(add(l[0], l[1]), l[0]));
   }, {a, bias});
   auto s = random_tensor(1, 1, rng);
   gradcheck([](const std::vector<Tensor>& l) {
-    return mean_all(mul(add(l[0], l[1]), l[0]));
+    return sum_all(mul(add(l[0], l[1]), l[0]));
   }, {a, s});
 }
 
@@ -81,13 +81,13 @@ TEST(GradCheck, SubAndMulBroadcasts) {
 TEST(GradCheck, Activations) {
   numeric::Rng rng(4);
   auto x = random_tensor(3, 3, rng, -2, 2);
-  for (auto f : {relu, tanh_t, sigmoid, exp_t, softplus}) {
-    gradcheck([f](const std::vector<Tensor>& l) { return mean_all(f(l[0])); }, {x},
+  for (auto f : {relu, tanh_t, sigmoid, softplus}) {
+    gradcheck([f](const std::vector<Tensor>& l) { return sum_all(f(l[0])); }, {x},
               1e-4, 1e-5);
   }
-  gradcheck([](const std::vector<Tensor>& l) { return mean_all(leaky_relu(l[0], 0.1)); },
+  gradcheck([](const std::vector<Tensor>& l) { return sum_all(leaky_relu(l[0], 0.1)); },
             {x}, 1e-4, 1e-5);
-  gradcheck([](const std::vector<Tensor>& l) { return mean_all(elu(l[0], 1.0)); }, {x},
+  gradcheck([](const std::vector<Tensor>& l) { return sum_all(elu(l[0], 1.0)); }, {x},
             1e-4, 1e-5);
 }
 
@@ -109,13 +109,16 @@ TEST(GradCheck, SegmentMean) {
   }, {x});
 }
 
-TEST(GradCheck, ConcatAndSlice) {
+TEST(GradCheck, ConcatCols) {
   numeric::Rng rng(7);
   auto a = random_tensor(3, 2, rng);
   auto b = random_tensor(3, 3, rng);
-  gradcheck([](const std::vector<Tensor>& l) {
+  // A weight per output column, so each part's gradient lands in its own
+  // columns or the check fails.
+  const Tensor w = random_tensor(3, 5, rng);
+  gradcheck([&](const std::vector<Tensor>& l) {
     const Tensor c = concat_cols({l[0], l[1]});
-    return mean_all(mul(slice_cols(c, 1, 4), slice_cols(c, 0, 3)));
+    return sum_all(mul(mul(c, c), w));
   }, {a, b});
 }
 
@@ -126,7 +129,7 @@ TEST(GradCheck, GatherScatter) {
   gradcheck([&](const std::vector<Tensor>& l) {
     const Tensor g = gather_rows(l[0], idx);
     const Tensor s = scatter_add_rows(g, idx, 4);
-    return mean_all(mul(s, s));
+    return sum_all(mul(s, s));
   }, {x});
 }
 
@@ -156,7 +159,7 @@ TEST(GradCheck, LayerNorm) {
   auto bias = random_tensor(1, 5, rng);
   gradcheck([](const std::vector<Tensor>& l) {
     const Tensor y = layer_norm(l[0], l[1], l[2]);
-    return mean_all(mul(y, y));
+    return sum_all(mul(y, y));
   }, {x, gain, bias}, 1e-4, 1e-6);
 }
 
@@ -165,8 +168,6 @@ TEST(GradCheck, Losses) {
   auto pred = random_tensor(3, 2, rng);
   const Tensor target = Tensor::from_data({0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 3, 2);
   gradcheck([&](const std::vector<Tensor>& l) { return mse_loss(l[0], target); }, {pred});
-  gradcheck([&](const std::vector<Tensor>& l) { return l1_loss(l[0], target); }, {pred},
-            1e-4, 1e-6);
 }
 
 }  // namespace

@@ -49,7 +49,6 @@ TEST(Ops, ActivationsForward) {
 TEST(Ops, Reductions) {
   const Tensor x = Tensor::from_data({1, 2, 3, 4}, 2, 2);
   EXPECT_DOUBLE_EQ(sum_all(x).item(), 10.0);
-  EXPECT_DOUBLE_EQ(mean_all(x).item(), 2.5);
   const Tensor mr = mean_rows(x);
   EXPECT_EQ(mr.rows(), 1u);
   EXPECT_DOUBLE_EQ(mr(0, 0), 2.0);
@@ -119,7 +118,6 @@ TEST(Ops, MseLossValue) {
   const Tensor p = Tensor::from_data({1, 2}, 1, 2);
   const Tensor t = Tensor::from_data({0, 4}, 1, 2);
   EXPECT_DOUBLE_EQ(mse_loss(p, t).item(), (1.0 + 4.0) / 2.0);
-  EXPECT_DOUBLE_EQ(l1_loss(p, t).item(), (1.0 + 2.0) / 2.0);
 }
 
 TEST(Ops, ScaleRowsForward) {

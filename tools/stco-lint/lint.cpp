@@ -420,7 +420,7 @@ class Linter {
   void rule_discarded_status(std::size_t ln, const std::string& code) {
     static const std::regex kDiscard(
         R"(^(?:[A-Za-z_]\w*(?:::|\.|->))*()"
-        R"(solve_cg|solve_bicgstab|solve_poisson|solve_drift_diffusion|)"
+        R"(solve_bicgstab|solve_poisson|solve_drift_diffusion|)"
         R"(dc_operating_point|transient|transient_adaptive|levenberg_marquardt|)"
         R"(drain_current_ex|factor|snapshot|obs_snapshot|make_run_snapshot)"
         R"()\s*\(.*\)\s*;\s*$)");
