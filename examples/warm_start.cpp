@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
       printf("FAIL: --expect-warm but %zu libraries were built\n", built);
       return 1;
     }
-    if (obs::kEnabled && counter("persist.cache.warm_hits") == 0) {
+    if (counter("persist.cache.warm_hits") == 0) {
       printf("FAIL: --expect-warm but no library was loaded\n");
       return 1;
     }
     printf("warm start verified: zero libraries built, all loaded from disk\n");
   }
   if (expect_corrupt) {
-    if ((obs::kEnabled && counter("persist.corrupt_artifacts") == 0) || built == 0) {
+    if (counter("persist.corrupt_artifacts") == 0 || built == 0) {
       printf("FAIL: --expect-corrupt but no corrupt library was detected and rebuilt\n");
       return 1;
     }

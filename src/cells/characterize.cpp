@@ -535,7 +535,9 @@ CellCharacterization characterize_sequential(const CellDef& def, const CharConfi
       const auto tr = spice::transient(f.nl, 6 * u, cfg.dt);
       if (track(job.scratch, tr)) {
         NonFlipResult nf;
-        nf.input_pin = "D";
+        // push_back, not `= "D"`: GCC 12 raises a false -Wrestrict on the
+        // literal assignment at -O2 (bug 105651).
+        nf.input_pin.push_back('D');
         nf.input_rising = true;
         const double leak = vdd * std::max(0.0, -tr.i_src.back()[f.vdd_src]);
         nf.energy = 0.5 * dynamic_energy(tr, f.vdd_src, vdd, leak, 1.5 * u, 6 * u);

@@ -11,6 +11,7 @@ namespace stco::charlib {
 
 namespace {
 constexpr double kFloor = 1e-21;
+constexpr std::size_t kGcnLayers = 3;  ///< paper: 3-layer GCN
 /// Model tag inside the weights artifact: distinguishes a charlib model
 /// file from any other parameter dump with the same tensor shapes.
 constexpr std::uint32_t kModelTag = persist::fourcc('C', 'H', 'M', 'D');
@@ -22,7 +23,7 @@ double unlog_target(double logged) { return std::pow(10.0, logged); }
 CellCharModel::CellCharModel(const CellCharModelConfig& cfg) : cfg_(cfg) {
   numeric::Rng rng(cfg.seed);
   input_proj_ = std::make_unique<gnn::Linear>(kCellNodeDim, cfg.hidden, rng);
-  for (std::size_t i = 0; i < cfg.gcn_layers; ++i)
+  for (std::size_t i = 0; i < kGcnLayers; ++i)
     gcn_.emplace_back(cfg.hidden, cfg.hidden, rng, gnn::Activation::kRelu);
   for (std::size_t m = 0; m < cells::kNumMetrics; ++m)
     heads_.emplace_back(std::vector<std::size_t>{cfg.hidden, cfg.mlp_hidden, 1}, rng);

@@ -32,7 +32,6 @@ struct CharSample {
 
 struct CellCharModelConfig {
   std::size_t hidden = 32;
-  std::size_t gcn_layers = 3;   ///< paper: 3-layer GCN
   std::size_t mlp_hidden = 32;  ///< paper: 2-layer MLP per metric
   std::uint64_t seed = 17;
   gnn::TrainConfig train{};

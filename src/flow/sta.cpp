@@ -69,7 +69,7 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
   rep.num_ffs = nl.num_flipflops();
 
   const std::size_t n = nl.num_nets();
-  numeric::Vec arrival(n, 0.0), slew(n, opts.primary_input_slew);
+  numeric::Vec arrival(n, 0.0), slew(n, kPrimaryInputSlew);
   numeric::Vec load(n, 0.0);
 
   // Net loads: consumer input caps + wire estimate.
@@ -78,25 +78,25 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
     for (NetId in : gates[k].fanin) load[in] += cap;
   }
   for (const auto& ff : nl.flipflops()) load[ff.d] += dff->input_cap;
-  for (NetId po : nl.primary_outputs()) load[po] += opts.primary_output_load;
+  for (NetId po : nl.primary_outputs()) load[po] += kPrimaryOutputLoad;
   for (std::size_t i = 0; i < n; ++i)
-    load[i] += opts.wire_cap_per_fanout * static_cast<double>(fanout[i]);
+    load[i] += kWireCapPerFanout * static_cast<double>(fanout[i]);
 
   // Launch points.
   for (NetId pi : nl.primary_inputs()) {
     arrival[pi] = 0.0;
-    slew[pi] = opts.primary_input_slew;
+    slew[pi] = kPrimaryInputSlew;
   }
   for (const auto& ff : nl.flipflops()) {
     arrival[ff.q] = clk2q;
-    slew[ff.q] = opts.primary_input_slew;
+    slew[ff.q] = kPrimaryInputSlew;
   }
 
   // Gates are stored in topological order.
   for (std::size_t k = 0; k < gates.size(); ++k) {
     const Gate& g = gates[k];
     const CellTiming& ct = *cells[gate_cells[k]];
-    double worst_arr = 0.0, worst_slew = opts.primary_input_slew;
+    double worst_arr = 0.0, worst_slew = kPrimaryInputSlew;
     for (NetId in : g.fanin) {
       if (arrival[in] >= worst_arr) {
         worst_arr = arrival[in];
@@ -116,7 +116,7 @@ StaReport analyze(const GateNetlist& nl, const StaPlan& plan,
     crit = std::max(crit, arrival[ff.d] + lib.dff_setup);
   for (NetId po : nl.primary_outputs()) crit = std::max(crit, arrival[po]);
   rep.critical_path = crit;
-  rep.min_period = crit * opts.clock_margin;
+  rep.min_period = crit * kClockMargin;
   rep.fmax = rep.min_period > 0 ? 1.0 / rep.min_period : 0.0;
 
   // Power at fmax: every net toggles at opts.activity, and each output flip

@@ -8,12 +8,13 @@
 
 namespace stco::flow {
 
+inline constexpr double kPrimaryInputSlew = 10e-9;   ///< boundary condition [s]
+inline constexpr double kPrimaryOutputLoad = 20e-15;
+inline constexpr double kWireCapPerFanout = 2e-15;   ///< crude interconnect estimate [F]
+inline constexpr double kClockMargin = 1.1;          ///< period guard band
+
 struct StaOptions {
-  double primary_input_slew = 10e-9;  ///< boundary condition [s]
-  double primary_output_load = 20e-15;
-  double wire_cap_per_fanout = 2e-15; ///< crude interconnect estimate [F]
-  double activity = 0.15;             ///< toggle probability per net
-  double clock_margin = 1.1;          ///< period guard band
+  double activity = 0.15;  ///< toggle probability per net
 };
 
 struct StaReport {

@@ -30,13 +30,6 @@ struct BatchedGraph {
   /// input graph carried graph_targets.
   std::vector<double> graph_targets;
   std::size_t target_dim = 0;
-
-  std::size_t nodes_of(std::size_t g) const {
-    return node_offset[g + 1] - node_offset[g];
-  }
-  std::size_t edges_of(std::size_t g) const {
-    return edge_offset[g + 1] - edge_offset[g];
-  }
 };
 
 /// Merge graphs (all must share node_dim / edge_dim) into a move-built

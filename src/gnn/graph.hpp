@@ -39,8 +39,8 @@ struct Graph {
   /// (deserialization, caller-built graphs in tests).
   bool valid() const noexcept {
     if (edge_src.size() != edge_dst.size()) return false;
-    if (node_features.size() != num_nodes * node_dim) return false;
-    if (edge_features.size() != num_edges() * edge_dim) return false;
+    if (!tensor::holds_shape(node_features.size(), num_nodes, node_dim)) return false;
+    if (!tensor::holds_shape(edge_features.size(), num_edges(), edge_dim)) return false;
     for (auto s : edge_src)
       if (s >= num_nodes) return false;
     for (auto d : edge_dst)
@@ -51,9 +51,9 @@ struct Graph {
   /// Validate internal consistency; throws std::invalid_argument on error.
   void check() const {
     if (edge_src.size() != edge_dst.size()) throw std::invalid_argument("Graph: edge arrays");
-    if (node_features.size() != num_nodes * node_dim)
+    if (!tensor::holds_shape(node_features.size(), num_nodes, node_dim))
       throw std::invalid_argument("Graph: node feature size");
-    if (edge_features.size() != num_edges() * edge_dim)
+    if (!tensor::holds_shape(edge_features.size(), num_edges(), edge_dim))
       throw std::invalid_argument("Graph: edge feature size");
     for (auto s : edge_src)
       if (s >= num_nodes) throw std::invalid_argument("Graph: src out of range");

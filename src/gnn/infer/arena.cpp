@@ -33,7 +33,6 @@ double* Arena::alloc(std::size_t n) {
       retired_.push_back(std::move(overflow_));
       overflow_ = std::move(next);
       overflow_used_ = 0;
-      ++allocations_;
     }
     p = overflow_.data() + overflow_used_;
     overflow_used_ += need;
@@ -67,7 +66,6 @@ void Arena::reserve(std::size_t doubles) {
   const std::size_t need = round_up(doubles);
   if (need > buf_.size()) {
     buf_.assign(need, 0.0);
-    ++allocations_;
     static obs::Gauge& g_high_water =
         obs::gauge("gnn.infer.arena_high_water_bytes");
     g_high_water.set_max(static_cast<double>(need * sizeof(double)));

@@ -36,8 +36,6 @@ class Arena {
 
   std::size_t capacity() const { return buf_.size(); }
   std::size_t used() const { return used_ + overflow_retired_ + overflow_used_; }
-  /// Total allocations performed over the arena's lifetime (growths count).
-  std::size_t allocations() const { return allocations_; }
 
  private:
   tensor::AlignedVec buf_;       // primary block
@@ -48,7 +46,6 @@ class Arena {
   // must survive until reset().
   std::vector<tensor::AlignedVec> retired_;
   std::size_t overflow_retired_ = 0;  // doubles used in retired chunks
-  std::size_t allocations_ = 0;
 };
 
 /// Thread-local scratch arena. Inference entry points that do not manage

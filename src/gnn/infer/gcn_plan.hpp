@@ -28,7 +28,6 @@ class GcnPlan {
   bool compiled() const { return !head_blocks_.empty(); }
   std::uint64_t fingerprint() const { return fingerprint_; }
   std::size_t hidden() const { return hidden_; }
-  std::size_t num_heads() const { return head_blocks_.size(); }
 
   /// Batched forward over the CSR batch for a subset of heads: returns
   /// (num_graphs x heads.size()) row-major scalar head outputs (each head

@@ -63,14 +63,6 @@ void k_linear(const double* STCO_RESTRICT x, std::size_t xstride,
   }
 }
 
-void k_relu(double* y, std::size_t stride, std::size_t r0, std::size_t r1,
-            std::size_t cols) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* yr = y + i * stride;
-    for (std::size_t j = 0; j < cols; ++j) yr[j] = yr[j] > 0 ? yr[j] : 0.0;
-  }
-}
-
 void k_gat_layer(const GatLayerView& L, const GatScratch& s,
                  const std::uint32_t* src, const std::uint32_t* dst,
                  std::size_t n0, std::size_t n1, std::size_t e0, std::size_t e1,

@@ -63,10 +63,6 @@ void k_linear(const double* STCO_RESTRICT x, std::size_t xstride,
               std::size_t r1, std::size_t in, std::size_t out,
               const double* STCO_RESTRICT w, const double* STCO_RESTRICT b);
 
-/// In-place ReLU over rows [r0, r1).
-void k_relu(double* y, std::size_t stride, std::size_t r0, std::size_t r1,
-            std::size_t cols);
-
 /// One full RelGAT layer (projection, messages, attention, aggregation,
 /// bias, optional LayerNorm, ELU, optional residual), applied to `h`
 /// (N x hidden, updated in place) for one graph's node range [n0, n1) and

@@ -179,16 +179,6 @@ InferencePlan compile_plan(const RelGatModel& model) {
   return plan;
 }
 
-std::size_t InferencePlan::scratch_doubles(std::size_t nodes, std::size_t edges,
-                                           std::size_t graphs) const {
-  const std::size_t hid = cfg_.hidden;
-  const std::size_t mlp_rows = cfg_.graph_regression ? graphs : nodes;
-  return nodes * (hid * 3 + 2 * cfg_.heads)  // h, z, agg + seg_max/seg_sum
-         + edges * (hid + cfg_.heads)        // msg, logit
-         + graphs * hid                      // pooled
-         + 2 * mlp_rows * head_.max_width;   // MLP ping/pong
-}
-
 void InferencePlan::run_span(const Graph& merged,
                              const tensor::IndexVec& node_offset,
                              const tensor::IndexVec& edge_offset, Arena& arena,

@@ -71,10 +71,6 @@ class InferencePlan {
   /// persist::Fingerprint over the packed weights + topology. Matches
   /// between two plans iff they snapshot identical weights.
   std::uint64_t fingerprint() const { return fingerprint_; }
-  /// Scratch doubles needed for a batch of (nodes, edges, graphs) — the
-  /// arena grows to this once and then stops allocating.
-  std::size_t scratch_doubles(std::size_t nodes, std::size_t edges,
-                              std::size_t graphs) const;
 
  private:
   friend InferencePlan compile_plan(const RelGatModel& model);

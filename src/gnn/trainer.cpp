@@ -10,6 +10,13 @@
 
 namespace stco::gnn {
 
+namespace {
+
+constexpr double kLrDecay = 0.99;  ///< multiplicative per epoch
+constexpr double kGradClip = 5.0;  ///< global L2 norm clip
+
+}  // namespace
+
 TrainStats train(std::vector<tensor::Tensor> params, const SampleLossFn& sample_loss,
                  std::size_t n_samples, const TrainConfig& cfg,
                  const exec::Context& ctx) {
@@ -55,7 +62,7 @@ TrainStats train(std::vector<tensor::Tensor> params, const SampleLossFn& sample_
         scaled.backward();
         batch_sum += l.item();
       }
-      if (cfg.grad_clip > 0) opt.clip_grad_norm(cfg.grad_clip);
+      opt.clip_grad_norm(kGradClip);
       opt.step();
       epoch_loss += batch_sum * inv;
       ++batches;
@@ -70,7 +77,7 @@ TrainStats train(std::vector<tensor::Tensor> params, const SampleLossFn& sample_
                           // stco-lint: allow(nondet-clock-now) epoch timing
                           std::chrono::steady_clock::now() - epoch_t0)
                           .count());
-    opt.lr() *= cfg.lr_decay;
+    opt.lr() *= kLrDecay;
     prog.advance(1);
     if (cfg.on_epoch && !cfg.on_epoch(epoch, epoch_loss)) break;
   }

@@ -16,8 +16,6 @@ struct TrainConfig {
   std::size_t epochs = 50;
   std::size_t batch_size = 8;
   double lr = 1e-3;
-  double lr_decay = 0.99;       ///< multiplicative per epoch
-  double grad_clip = 5.0;       ///< global L2 norm clip (0 disables)
   std::uint64_t shuffle_seed = 7;
   /// Called after each epoch with (epoch, mean training loss); return false
   /// to stop early.

@@ -9,6 +9,13 @@ namespace stco::numeric {
 
 namespace {
 
+constexpr double kInitialLambda = 1e-3;
+constexpr double kLambdaUp = 10.0;
+constexpr double kLambdaDown = 0.5;
+constexpr double kGradientTol = 1e-10;  ///< stop when ||J^T r||_inf below this
+constexpr double kStepTol = 1e-12;      ///< stop when relative step below this
+constexpr double kFdStep = 1e-6;        ///< relative forward-difference step
+
 void clamp_params(Vec& p, const Vec& lower, const Vec& upper) {
   if (!lower.empty())
     for (std::size_t i = 0; i < p.size(); ++i) p[i] = std::max(p[i], lower[i]);
@@ -53,7 +60,7 @@ LmResult levenberg_marquardt(const ResidualFn& fn, Vec initial, std::size_t n_re
   if (!std::isfinite(out.cost)) return finish(SolveReason::kNanResidual);
 
   Matrix jac(n_residuals, np);
-  double lambda = opts.initial_lambda;
+  double lambda = kInitialLambda;
 
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     out.iterations = it + 1;
@@ -61,7 +68,7 @@ LmResult levenberg_marquardt(const ResidualFn& fn, Vec initial, std::size_t n_re
     // Forward-difference Jacobian.
     Vec p_fd = out.params;
     for (std::size_t j = 0; j < np; ++j) {
-      const double h = opts.fd_step * std::max(1.0, std::fabs(out.params[j]));
+      const double h = kFdStep * std::max(1.0, std::fabs(out.params[j]));
       p_fd[j] = out.params[j] + h;
       fn(p_fd, r_trial);
       for (std::size_t i = 0; i < n_residuals; ++i)
@@ -83,7 +90,7 @@ LmResult levenberg_marquardt(const ResidualFn& fn, Vec initial, std::size_t n_re
 
     const double grad_norm = norm_inf(jtr);
     if (!std::isfinite(grad_norm)) return finish(SolveReason::kNanResidual);
-    if (grad_norm < opts.gradient_tol) return finish(SolveReason::kOk);
+    if (grad_norm < kGradientTol) return finish(SolveReason::kOk);
 
     bool accepted = false;
     bool singular = false;
@@ -99,7 +106,7 @@ LmResult levenberg_marquardt(const ResidualFn& fn, Vec initial, std::size_t n_re
         dp = solve_dense(lhs, rhs);
       } catch (const std::runtime_error&) {
         singular = true;
-        lambda *= opts.lambda_up;
+        lambda *= kLambdaUp;
         continue;
       }
       singular = false;
@@ -115,11 +122,11 @@ LmResult levenberg_marquardt(const ResidualFn& fn, Vec initial, std::size_t n_re
         out.params = std::move(p_trial);
         r = r_trial;
         out.cost = cost_trial;
-        lambda = std::max(lambda * opts.lambda_down, 1e-14);
+        lambda = std::max(lambda * kLambdaDown, 1e-14);
         accepted = true;
-        if (step < opts.step_tol) return finish(SolveReason::kOk);
+        if (step < kStepTol) return finish(SolveReason::kOk);
       } else {
-        lambda *= opts.lambda_up;
+        lambda *= kLambdaUp;
       }
     }
     if (!accepted) {

@@ -13,12 +13,6 @@ namespace stco::numeric {
 
 struct LmOptions {
   std::size_t max_iterations = 200;
-  double initial_lambda = 1e-3;
-  double lambda_up = 10.0;
-  double lambda_down = 0.5;
-  double gradient_tol = 1e-10;   ///< stop when ||J^T r||_inf below this
-  double step_tol = 1e-12;       ///< stop when relative step below this
-  double fd_step = 1e-6;         ///< relative forward-difference step
 };
 
 struct LmResult {

@@ -26,7 +26,6 @@ class TripletBuilder {
   void append(const TripletBuilder& other);
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  std::size_t nnz_upper_bound() const { return entries_.size(); }
   void clear() { entries_.clear(); }
 
   struct Entry {

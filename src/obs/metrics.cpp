@@ -9,6 +9,7 @@
 
 #include "src/obs/keys.hpp"
 #include "src/obs/progress.hpp"
+#include "src/obs/span.hpp"
 
 namespace stco::obs {
 
@@ -89,7 +90,7 @@ Histogram::Histogram(std::vector<double> bounds)
   std::sort(bounds_.begin(), bounds_.end());
 }
 
-void Histogram::observe_impl(double v) {
+void Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -354,7 +355,6 @@ std::string Snapshot::to_json() const {
 
 Snapshot snapshot() {
   Snapshot snap;
-  if constexpr (!kEnabled) return snap;
   {
     auto& reg = metric_registry();
     std::lock_guard<std::mutex> lock(reg.m);
@@ -386,7 +386,6 @@ Snapshot snapshot() {
 }
 
 void reset_metrics() {
-  if constexpr (!kEnabled) return;
   auto& reg = metric_registry();
   std::lock_guard<std::mutex> lock(reg.m);
   for (auto& [name, c] : reg.counters) c.reset();

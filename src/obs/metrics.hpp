@@ -17,10 +17,7 @@
 //   warm.add(1);
 //
 // References returned by the registry are stable for the process lifetime
-// (node-based storage, leaked registry). With STCO_OBS=OFF every
-// instrument method compiles to an empty inline body and snapshots are
-// empty — but Snapshot itself stays a fully functional value type, so
-// reporting code (stco::report) works unchanged in both modes.
+// (node-based storage, leaked registry).
 
 #include <atomic>
 #include <cstdint>
@@ -28,23 +25,14 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/span.hpp"  // kEnabled
-
 namespace stco::obs {
 
 /// Monotonic event counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) {
-    if constexpr (kEnabled) value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    if constexpr (kEnabled) return value_.load(std::memory_order_relaxed);
-    return 0;
-  }
-  void reset() {
-    if constexpr (kEnabled) value_.store(0, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -53,26 +41,17 @@ class Counter {
 /// Last-value gauge.
 class Gauge {
  public:
-  void set(double v) {
-    if constexpr (kEnabled) value_.store(v, std::memory_order_relaxed);
-  }
+  void set(double v) { value_.store(v, std::memory_order_relaxed); }
   /// Raise the gauge to `v` if `v` is larger — lock-free high-water marks
   /// (arena capacity, workspace footprint) shared across threads.
   void set_max(double v) {
-    if constexpr (kEnabled) {
-      double cur = value_.load(std::memory_order_relaxed);
-      while (v > cur &&
-             !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-      }
+    double cur = value_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
-  double value() const {
-    if constexpr (kEnabled) return value_.load(std::memory_order_relaxed);
-    return 0.0;
-  }
-  void reset() {
-    if constexpr (kEnabled) value_.store(0.0, std::memory_order_relaxed);
-  }
+  double value() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -85,9 +64,7 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double v) {
-    if constexpr (kEnabled) observe_impl(v);
-  }
+  void observe(double v);
 
   const std::vector<double>& bounds() const { return bounds_; }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -103,8 +80,6 @@ class Histogram {
   void reset();
 
  private:
-  void observe_impl(double v);
-
   std::vector<double> bounds_;                    // sorted upper bounds
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
@@ -152,10 +127,9 @@ struct ProgressSnapshot {
   double eta_seconds = 0.0;
 };
 
-/// Immutable copy of every registered metric. Plain value type — fully
-/// functional even with STCO_OBS=OFF (snapshots are then just empty until
-/// populated by hand with set_counter/set_gauge, which is how
-/// stco::make_run_snapshot keeps reports working in the no-op build).
+/// Immutable copy of every registered metric. Plain value type; reports
+/// also populate one by hand with set_counter/set_gauge
+/// (stco::make_run_snapshot).
 struct Snapshot {
   /// Schema version stamped into to_json() output; bump when the JSON
   /// layout changes incompatibly. v2 added "spans" and "progress".
@@ -210,7 +184,7 @@ struct Snapshot {
   std::string to_json() const;
 };
 
-/// Copy out every registered metric. Empty with STCO_OBS=OFF.
+/// Copy out every registered metric.
 [[nodiscard]] Snapshot snapshot();
 /// Zero every registered counter/gauge/histogram (registrations remain).
 void reset_metrics();

@@ -9,8 +9,6 @@
 
 namespace stco::obs {
 
-#ifndef STCO_OBS_DISABLED
-
 namespace {
 
 struct ProgressRegistry {
@@ -113,25 +111,5 @@ void reset_progress() {
   std::lock_guard<std::mutex> lock(reg.m);
   for (auto& [name, task] : reg.tasks) task.reset();
 }
-
-#else  // STCO_OBS_DISABLED — compile-time no-op bodies.
-
-void ProgressTask::add_work(std::uint64_t) {}
-void ProgressTask::reduce_work(std::uint64_t) {}
-void ProgressTask::advance(std::uint64_t) {}
-std::uint64_t ProgressTask::done() const { return 0; }
-std::uint64_t ProgressTask::total() const { return 0; }
-ProgressSnapshot ProgressTask::sample() const { return {}; }
-void ProgressTask::reset() {}
-
-ProgressTask& progress(const std::string&) {
-  static ProgressTask task;
-  return task;
-}
-
-std::map<std::string, ProgressSnapshot> progress_snapshot() { return {}; }
-void reset_progress() {}
-
-#endif  // STCO_OBS_DISABLED
 
 }  // namespace stco::obs

@@ -17,15 +17,14 @@
 // Hot-path cost matches the metric instruments: relaxed atomic RMWs, no
 // locks after the one-time registry lookup. Progress task names live in the
 // canonical metric-key registry (keys.hpp kMetricKeys) and are validated
-// the same way under STCO_CHECKS. With STCO_OBS=OFF every method is an
-// empty inline body and progress_snapshot() is empty.
+// the same way under STCO_CHECKS.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
 
-#include "src/obs/metrics.hpp"  // ProgressSnapshot, kEnabled
+#include "src/obs/metrics.hpp"  // ProgressSnapshot
 
 namespace stco::obs {
 
@@ -63,7 +62,7 @@ class ProgressTask {
 /// test. prefix.
 ProgressTask& progress(const std::string& name);
 
-/// sample() of every registered task. Empty with STCO_OBS=OFF.
+/// sample() of every registered task.
 std::map<std::string, ProgressSnapshot> progress_snapshot();
 
 /// Reset every registered task (registrations remain).

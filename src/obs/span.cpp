@@ -19,8 +19,6 @@ namespace detail {
 std::atomic<bool> g_tracing{false};
 }  // namespace detail
 
-#ifndef STCO_OBS_DISABLED
-
 namespace {
 
 constexpr std::size_t kRingCapacity = std::size_t{1} << 15;
@@ -295,30 +293,5 @@ void write_chrome_trace_file(const std::string& path) {
   // Atomic replace: a crash mid-export can never leave a torn trace file.
   persist::atomic_write_file(path, os.str());
 }
-
-#else  // STCO_OBS_DISABLED — compile-time no-op bodies.
-
-std::uint64_t now_ns() { return 0; }
-void Span::begin(const char*, SpanContext) {}
-void Span::end() {}
-void Span::set_arg(const char*) {}
-std::vector<SpanStat> span_stats() { return {}; }
-void reset_span_stats() {}
-void start_tracing() {}
-void stop_tracing() {}
-void clear_spans() {}
-std::vector<SpanRecord> collect_spans() { return {}; }
-std::uint64_t dropped_spans() { return 0; }
-void write_chrome_trace(std::ostream& os, const std::vector<SpanRecord>&) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-}
-void write_chrome_trace_file(const std::string& path) {
-  std::ostringstream os;
-  write_chrome_trace(os, {});
-  os << '\n';
-  persist::atomic_write_file(path, os.str());
-}
-
-#endif  // STCO_OBS_DISABLED
 
 }  // namespace stco::obs

@@ -10,8 +10,6 @@
 // can be drained into a chrome://tracing / Perfetto-loadable JSON file.
 //
 // Cost model:
-//   * STCO_OBS=OFF (compile-time): every member function is an empty
-//     inline body — spans vanish entirely.
 //   * tracing disabled at runtime (the default): two steady_clock reads
 //     plus three relaxed atomic RMWs per span — the always-on per-name
 //     aggregate (span_stats()) is maintained even without a TraceSession,
@@ -38,16 +36,6 @@
 
 namespace stco::obs {
 
-/// Compile-time switch: false when the tree was configured with
-/// -DSTCO_OBS=OFF (the stco_obs target then defines STCO_OBS_DISABLED for
-/// every dependent).
-inline constexpr bool kEnabled =
-#ifdef STCO_OBS_DISABLED
-    false;
-#else
-    true;
-#endif
-
 using SpanId = std::uint64_t;  ///< 0 = "no span"
 
 namespace detail {
@@ -61,7 +49,6 @@ inline constinit thread_local SpanId t_current = 0;
 /// True while a TraceSession (or the STCO_TRACE environment session) is
 /// active. One relaxed load — this is the per-span disabled-mode cost.
 inline bool tracing_enabled() {
-  if constexpr (!kEnabled) return false;
   return detail::g_tracing.load(std::memory_order_relaxed);
 }
 
@@ -77,7 +64,6 @@ struct SpanContext {
 /// The innermost live span of the calling thread, as a propagatable
 /// context. Returns {0} when tracing is off or no span is open.
 inline SpanContext current_context() {
-  if constexpr (!kEnabled) return {};
   return {detail::t_current};
 }
 
@@ -98,16 +84,10 @@ struct SpanRecord {
 /// full records (ids, nesting, ring-buffer push) only while tracing.
 class Span {
  public:
-  explicit Span(const char* name) {
-    if constexpr (kEnabled) begin(name, current_context());
-  }
-  Span(const char* name, SpanContext parent) {
-    if constexpr (kEnabled) begin(name, parent);
-  }
+  explicit Span(const char* name) { begin(name, current_context()); }
+  Span(const char* name, SpanContext parent) { begin(name, parent); }
   ~Span() {
-    if constexpr (kEnabled) {
-      if (name_ != nullptr) end();
-    }
+    if (name_ != nullptr) end();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -117,24 +97,16 @@ class Span {
   void set_arg(const char* arg);
 
   /// True when this span is live and recording.
-  bool active() const {
-    if constexpr (!kEnabled) return false;
-    return id_ != 0;
-  }
-  SpanContext context() const {
-    if constexpr (!kEnabled) return {};
-    return {id_};
-  }
+  bool active() const { return id_ != 0; }
+  SpanContext context() const { return {id_}; }
 
  private:
   void begin(const char* name, SpanContext parent);
   void end();
 
-  // Declared in both build modes (an `if constexpr` discarded branch still
-  // name-checks); with STCO_OBS=OFF the constructor never writes them and
-  // the object folds away entirely. id_ stays 0 unless tracing was live at
-  // construction (active()/context() keep their tracing-only semantics);
-  // stat_idx_ is the always-on aggregate slot (-1 for test./unknown names).
+  // id_ stays 0 unless tracing was live at construction (active()/context()
+  // keep their tracing-only semantics); stat_idx_ is the always-on
+  // aggregate slot (-1 for test./unknown names).
   const char* name_ = nullptr;
   SpanId id_ = 0;
   SpanId parent_ = 0;
@@ -151,18 +123,14 @@ class Span {
 class TaskScope {
  public:
   explicit TaskScope(SpanContext ctx) {
-    if constexpr (kEnabled) {
-      if (ctx.id != 0 || detail::t_current != 0) {
-        active_ = true;
-        saved_ = detail::t_current;
-        detail::t_current = ctx.id;
-      }
+    if (ctx.id != 0 || detail::t_current != 0) {
+      active_ = true;
+      saved_ = detail::t_current;
+      detail::t_current = ctx.id;
     }
   }
   ~TaskScope() {
-    if constexpr (kEnabled) {
-      if (active_) detail::t_current = saved_;
-    }
+    if (active_) detail::t_current = saved_;
   }
   TaskScope(const TaskScope&) = delete;
   TaskScope& operator=(const TaskScope&) = delete;
@@ -182,8 +150,8 @@ struct SpanStat {
   std::uint64_t max_ns = 0;   ///< longest single span
 };
 
-/// The aggregate rows with count > 0, in kSpanNames (sorted) order. Empty
-/// with STCO_OBS=OFF. Ad-hoc `test.` span names are not aggregated.
+/// The aggregate rows with count > 0, in kSpanNames (sorted) order.
+/// Ad-hoc `test.` span names are not aggregated.
 std::vector<SpanStat> span_stats();
 /// Zero the always-on aggregate (used by telemetry tests and sessions that
 /// want per-phase attribution).

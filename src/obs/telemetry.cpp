@@ -6,15 +6,13 @@
 #include <memory>
 #include <sstream>
 
-#include "src/obs/span.hpp"  // now_ns, kEnabled
+#include "src/obs/span.hpp"  // now_ns
 
 namespace stco::obs {
 
 // ---------------------------------------------------------------------------
-// Writer side (no-op with STCO_OBS=OFF).
+// Writer side.
 // ---------------------------------------------------------------------------
-
-#ifndef STCO_OBS_DISABLED
 
 TelemetrySession::TelemetrySession(TelemetryOptions opts)
     : opts_(std::move(opts)) {
@@ -84,23 +82,10 @@ void TelemetrySession::sample_once(const char* kind) {
   }
 }
 
-#else  // STCO_OBS_DISABLED — sessions are inert.
-
-TelemetrySession::TelemetrySession(TelemetryOptions opts)
-    : opts_(std::move(opts)) {}
-TelemetrySession::~TelemetrySession() = default;
-void TelemetrySession::flush_now() {}
-std::uint64_t TelemetrySession::records_written() const { return 0; }
-void TelemetrySession::run() {}
-void TelemetrySession::sample_once(const char*) {}
-
-#endif  // STCO_OBS_DISABLED
-
 // ---------------------------------------------------------------------------
 // Environment activation: STCO_TELEMETRY=<path> samples the whole process.
 // ---------------------------------------------------------------------------
 
-#ifndef STCO_OBS_DISABLED
 namespace {
 
 struct EnvTelemetry {
@@ -120,10 +105,9 @@ struct EnvTelemetry {
 EnvTelemetry g_env_telemetry;
 
 }  // namespace
-#endif  // STCO_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Reader side — compiled in BOTH modes so tools always work.
+// Reader side.
 // ---------------------------------------------------------------------------
 
 namespace {

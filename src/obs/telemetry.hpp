@@ -24,10 +24,6 @@
 //    "obs":{<Snapshot::to_json>}}
 // kind is "start" for the first record (full snapshot), "sample" for
 // periodic deltas, "final" for the destructor's closing delta.
-//
-// With STCO_OBS=OFF the session compiles to a no-op (no thread, no file);
-// the reader side below keeps working in both modes so tools can always
-// consume streams produced elsewhere.
 
 #include <condition_variable>
 #include <cstdint>

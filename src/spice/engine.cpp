@@ -12,6 +12,33 @@ namespace stco::spice {
 
 namespace {
 
+/// Newton iteration cap per solve attempt.
+constexpr std::size_t kMaxNewton = 120;
+/// Newton voltage update tolerance [V].
+constexpr double kAbstolV = 1e-9;
+/// Per-iteration voltage update cap [V].
+constexpr double kMaxUpdate = 1.0;
+
+// Convergence-recovery ladder. When the plain damped Newton fails, the
+// engine first ramps an elevated gmin (kGminStart) back down to the
+// configured floor in kGminStages log steps, then — for stubborn systems —
+// ramps the independent sources from 0 to full value in kSourceSteps
+// homotopy stages. Each failed stage is re-attempted with a tightened
+// per-iteration update limit before the ladder moves on. An overall
+// iteration budget (EngineOptions::iteration_budget) bounds the ladder.
+constexpr double kGminStart = 1e-3;          ///< initial elevated gmin [S]
+constexpr std::size_t kGminStages = 4;       ///< log-ramp stages down to the gmin floor
+constexpr std::size_t kSourceSteps = 4;      ///< source homotopy stages (0 -> 1)
+constexpr double kDampingShrink = 0.5;       ///< update-limit multiplier per re-attempt
+constexpr std::size_t kDampingAttempts = 2;  ///< tightened re-attempts per stage
+constexpr double kMinUpdateLimit = 0.02;     ///< update-limit floor [V]
+
+// Adaptive-step transient (transient_adaptive). The first step is a tenth
+// of the largest, which is t_stop / 50.
+constexpr double kDtMin = 1e-12;          ///< smallest step [s]
+constexpr double kGrowLimit = 2.0;        ///< max step growth per accepted step
+constexpr double kShrinkOnReject = 0.4;   ///< step multiplier on a rejected step
+
 /// Working capacitor (netlist caps + TFT gate caps expanded).
 struct WorkCap {
   NodeId n1, n2;
@@ -226,7 +253,7 @@ void stamp_tfts(System& sys, const numeric::Vec& x) {
 /// `x` carries the initial guess in/out.
 numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
                                  bool use_caps, double dt, bool trapezoidal,
-                                 const EngineOptions& opts, const NewtonKnobs& knobs) {
+                                 const NewtonKnobs& knobs) {
   const std::size_t dim = sys.dim;
 
   // TFT-free circuits have an x-independent MNA matrix: sources, companion
@@ -245,7 +272,7 @@ numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
   double prev_max_dv = 1e300;
   int stall_count = 0;
 
-  for (std::size_t it = 0; it < opts.max_newton; ++it) {
+  for (std::size_t it = 0; it < kMaxNewton; ++it) {
     st.iterations = it + 1;
     sys.rhs = sys.rhs_linear;
     if (linear_only && sys.linear.factored) {
@@ -294,7 +321,7 @@ numeric::SolveStatus newton_once(System& sys, double t, numeric::Vec& x,
       st.reason = numeric::SolveReason::kNanResidual;
       return st;
     }
-    if (max_dv < opts.abstol_v) {
+    if (max_dv < kAbstolV) {
       st.reason = numeric::SolveReason::kOk;
       return st;
     }
@@ -327,12 +354,11 @@ numeric::SolveStatus newton_robust(System& sys, double t, numeric::Vec& x,
                                    numeric::SolveBudget& budget,
                                    numeric::RobustnessStats& stats) {
   ++stats.attempts;
-  const RetryPolicy& rp = opts.retry;
 
   numeric::SolveStatus total;
   numeric::SolveStatus last;
   auto run = [&](const NewtonKnobs& knobs) {
-    last = newton_once(sys, t, x, use_caps, dt, trapezoidal, opts, knobs);
+    last = newton_once(sys, t, x, use_caps, dt, trapezoidal, knobs);
     budget.charge(last.iterations);
     total.iterations += last.iterations;
     total.residual = last.residual;
@@ -353,39 +379,38 @@ numeric::SolveStatus newton_robust(System& sys, double t, numeric::Vec& x,
 
   // Direct attempt with the configured knobs.
   const numeric::Vec x0 = x;
-  if (run({opts.gmin, opts.max_update, 1.0})) {
+  if (run({opts.gmin, kMaxUpdate, 1.0})) {
     ++stats.direct_success;
     total.reason = numeric::SolveReason::kOk;
     return total;
   }
-  if (!rp.enabled) return fail(last.reason);
 
   // One stage of either ramp: solve at the given knobs, re-attempting with
   // escalating damping while the budget allows.
   auto stage = [&](NewtonKnobs knobs, std::size_t& retry_counter) {
-    for (std::size_t attempt = 0; attempt <= rp.damping_attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt <= kDampingAttempts; ++attempt) {
       if (out_of_budget()) return false;
       ++(attempt == 0 ? retry_counter : stats.damping_retries);
       ++total.retries;
       if (run(knobs)) return true;
       knobs.update_limit =
-          std::max(knobs.update_limit * rp.damping_shrink, rp.min_update_limit);
+          std::max(knobs.update_limit * kDampingShrink, kMinUpdateLimit);
     }
     return false;
   };
 
-  // gmin stepping: log-ramp from gmin_start down to the floor. The final
+  // gmin stepping: log-ramp from kGminStart down to the floor. The final
   // stage runs at the floor, so a success leaves no artificial conductance
   // beyond it.
   const double gmin_floor = std::max(opts.gmin, 1e-12);
-  if (rp.gmin_stages > 0 && rp.gmin_start > gmin_floor) {
+  if (kGminStart > gmin_floor) {
     x = x0;
     bool ok = true;
-    for (std::size_t s = 0; s <= rp.gmin_stages && ok; ++s) {
+    for (std::size_t s = 0; s <= kGminStages && ok; ++s) {
       const double f =
-          static_cast<double>(s) / static_cast<double>(rp.gmin_stages);
-      const double g = rp.gmin_start * std::pow(gmin_floor / rp.gmin_start, f);
-      ok = stage({g, opts.max_update, 1.0}, stats.gmin_retries);
+          static_cast<double>(s) / static_cast<double>(kGminStages);
+      const double g = kGminStart * std::pow(gmin_floor / kGminStart, f);
+      ok = stage({g, kMaxUpdate, 1.0}, stats.gmin_retries);
     }
     if (ok) {
       ++stats.recovered;
@@ -396,27 +421,21 @@ numeric::SolveStatus newton_robust(System& sys, double t, numeric::Vec& x,
   }
 
   // Source stepping: homotopy from the trivial all-off circuit.
-  if (rp.source_steps > 0) {
-    x.assign(x.size(), 0.0);
-    bool ok = true;
-    for (std::size_t s = 1; s <= rp.source_steps && ok; ++s) {
-      const double scale =
-          static_cast<double>(s) / static_cast<double>(rp.source_steps);
-      ok = stage({gmin_floor, opts.max_update, scale}, stats.source_retries);
-    }
-    if (ok) {
-      ++stats.recovered;
-      total.reason = numeric::SolveReason::kOk;
-      return total;
-    }
-    if (budget.exhausted()) return fail(numeric::SolveReason::kBudgetExceeded);
+  x.assign(x.size(), 0.0);
+  bool ok = true;
+  for (std::size_t s = 1; s <= kSourceSteps && ok; ++s) {
+    const double scale =
+        static_cast<double>(s) / static_cast<double>(kSourceSteps);
+    ok = stage({gmin_floor, kMaxUpdate, scale}, stats.source_retries);
   }
+  if (ok) {
+    ++stats.recovered;
+    total.reason = numeric::SolveReason::kOk;
+    return total;
+  }
+  if (budget.exhausted()) return fail(numeric::SolveReason::kBudgetExceeded);
 
   return fail(last.reason);
-}
-
-numeric::SolveBudget budget_of(const RetryPolicy& rp) {
-  return numeric::SolveBudget(rp.iteration_budget);
 }
 
 void unpack(const System& sys, const numeric::Vec& x, numeric::Vec& node_v,
@@ -475,7 +494,7 @@ DcResult dc_operating_point(const Netlist& nl, double t, const EngineOptions& op
   System sys = make_system(nl);
   numeric::Vec x(sys.dim, 0.0);
   DcResult res;
-  numeric::SolveBudget budget = budget_of(opts.retry);
+  numeric::SolveBudget budget(opts.iteration_budget);
   res.status = newton_robust(sys, t, x, /*use_caps=*/false, 0.0, false, opts,
                              budget, res.stats);
   res.newton_iterations = res.status.iterations;
@@ -526,7 +545,7 @@ TranResult transient(const Netlist& nl, double t_stop, double dt,
   TranResult out;
   TranRunObs run_obs{out};
   out.converged = true;
-  numeric::SolveBudget budget = budget_of(opts.retry);
+  numeric::SolveBudget budget(opts.iteration_budget);
 
   // DC at t = 0 (or all-zero initial conditions when opts.uic).
   numeric::Vec x(sys.dim, 0.0);
@@ -570,7 +589,7 @@ TranResult transient(const Netlist& nl, double t_stop, double dt,
     if (h <= 0.0) continue;
     // Backward Euler on the first step (no valid i_prev yet) and on the
     // step leaving any source breakpoint; trapezoidal elsewhere.
-    const bool trap = opts.trapezoidal && !first_step && !at_breakpoint(grid[k - 1]);
+    const bool trap = !first_step && !at_breakpoint(grid[k - 1]);
     const numeric::SolveStatus st =
         newton_robust(sys, t, x, true, h, trap, opts, budget, out.stats);
     if (!st.ok()) {
@@ -606,9 +625,8 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
   const EngineOptions& opts = aopts.engine;
   System sys = make_system(nl);
 
-  const double dt_max = aopts.dt_max > 0 ? aopts.dt_max : t_stop / 50.0;
-  double dt = aopts.dt_initial > 0 ? aopts.dt_initial : dt_max / 10.0;
-  dt = std::clamp(dt, aopts.dt_min, dt_max);
+  const double dt_max = t_stop / 50.0;
+  double dt = std::clamp(dt_max / 10.0, kDtMin, dt_max);
 
   // Sorted breakpoints the stepper must land on exactly.
   std::vector<double> breakpoints;
@@ -626,7 +644,7 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
   TranResult out;
   TranRunObs run_obs{out};
   out.converged = true;
-  numeric::SolveBudget budget = budget_of(opts.retry);
+  numeric::SolveBudget budget(opts.iteration_budget);
 
   numeric::Vec x(sys.dim, 0.0);
   if (!opts.uic) {
@@ -671,11 +689,11 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
     double h = std::min(dt, t_limit - t);
     // The backward-Euler step leaving a discontinuity has no LTE control;
     // keep it short so a waveform edge is never crossed in one blind jump.
-    if (after_discontinuity) h = std::min(h, std::max(aopts.dt_min, 0.1 * dt));
-    h = std::max(h, aopts.dt_min);
+    if (after_discontinuity) h = std::min(h, std::max(kDtMin, 0.1 * dt));
+    h = std::max(h, kDtMin);
     const double t_next = t + h;
 
-    const bool trap = opts.trapezoidal && !after_discontinuity;
+    const bool trap = !after_discontinuity;
     numeric::Vec x_main = x;
     const numeric::SolveStatus st =
         newton_robust(sys, t_next, x_main, true, h, trap, opts, budget,
@@ -684,9 +702,9 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
       // Try shrinking the step before declaring the run dead: a shorter
       // step tightens the companion conductances and often restores
       // convergence where the whole recovery ladder could not.
-      if (h > aopts.dt_min * 1.01 &&
+      if (h > kDtMin * 1.01 &&
           st.reason != numeric::SolveReason::kBudgetExceeded) {
-        dt = std::max(h * aopts.shrink_on_reject, aopts.dt_min);
+        dt = std::max(h * kShrinkOnReject, kDtMin);
         continue;
       }
       out.converged = false;
@@ -707,8 +725,8 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
       if (st_be.ok()) {
         for (std::size_t k = 0; k < sys.nn - 1; ++k)
           lte = std::max(lte, std::fabs(x_main[k] - x_be[k]));
-        if (lte > 4.0 * aopts.lte_target && h > aopts.dt_min * 1.01) {
-          dt = std::max(h * aopts.shrink_on_reject, aopts.dt_min);
+        if (lte > 4.0 * aopts.lte_target && h > kDtMin * 1.01) {
+          dt = std::max(h * kShrinkOnReject, kDtMin);
           continue;  // reject the step
         }
       } else {
@@ -730,10 +748,10 @@ TranResult transient_adaptive(const Netlist& nl, double t_stop,
     if (trap) {
       const double ratio =
           std::sqrt(aopts.lte_target / std::max(lte, 1e-12 * aopts.lte_target));
-      dt = std::clamp(h * std::clamp(ratio, 0.3, aopts.grow_limit), aopts.dt_min,
+      dt = std::clamp(h * std::clamp(ratio, 0.3, kGrowLimit), kDtMin,
                       dt_max);
     } else {
-      dt = std::clamp(dt, aopts.dt_min, dt_max);
+      dt = std::clamp(dt, kDtMin, dt_max);
     }
   }
   return out;

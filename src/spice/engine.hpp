@@ -18,36 +18,17 @@
 
 namespace stco::spice {
 
-/// Convergence-recovery ladder configuration. When the plain damped Newton
-/// fails, the engine first ramps an elevated gmin (gmin_start) back down to
-/// the configured floor in `gmin_stages` log steps, then — for stubborn
-/// systems — ramps the independent sources from 0 to full value in
-/// `source_steps` homotopy stages. Each failed stage is re-attempted with a
-/// tightened per-iteration update limit before the ladder moves on. An
-/// overall iteration budget bounds the whole ladder (and, for transients,
-/// the whole run).
-struct RetryPolicy {
-  bool enabled = true;
-  double gmin_start = 1e-3;        ///< initial elevated gmin [S]
-  std::size_t gmin_stages = 4;     ///< log-ramp stages down to the gmin floor
-  std::size_t source_steps = 4;    ///< source homotopy stages (0 -> 1)
-  double damping_shrink = 0.5;     ///< update-limit multiplier per re-attempt
-  std::size_t damping_attempts = 2;///< tightened re-attempts per stage
-  double min_update_limit = 0.02;  ///< update-limit floor [V]
-  std::size_t iteration_budget = 200000;  ///< total Newton iterations; 0 = unlimited
-};
-
+/// When the plain damped Newton fails, a convergence-recovery ladder runs
+/// (gmin stepping, then source stepping; see engine.cpp). An overall
+/// iteration budget bounds the whole ladder (and, for transients, the
+/// whole run).
 struct EngineOptions {
-  std::size_t max_newton = 120;
-  double abstol_v = 1e-9;      ///< Newton voltage update tolerance [V]
-  double max_update = 1.0;     ///< per-iteration voltage update cap [V]
   double gmin = 1e-12;         ///< node-to-ground floor conductance [S]
-  bool trapezoidal = true;     ///< false: backward Euler throughout
   /// Use initial conditions (SPICE "UIC"): transient starts from all-zero
   /// node voltages instead of the DC operating point. Needed when the DC
   /// point is ill-defined (e.g. a current source into a capacitor).
   bool uic = false;
-  RetryPolicy retry{};
+  std::size_t iteration_budget = 200000;  ///< total Newton iterations; 0 = unlimited
 };
 
 /// DC operating point. `status` is the structured outcome of the (possibly
@@ -91,16 +72,11 @@ struct TranResult {
 
 struct AdaptiveOptions {
   EngineOptions engine{};
-  double dt_min = 1e-12;
-  double dt_max = 0.0;        ///< 0 = t_stop / 50
-  double dt_initial = 0.0;    ///< 0 = dt_max / 10
   /// Target local truncation error per step, as a voltage [V]. The step
   /// size is chosen so the trapezoidal LTE estimate (difference between
   /// the trapezoidal solution and a backward-Euler predictor) stays near
   /// this value.
   double lte_target = 1e-3;
-  double grow_limit = 2.0;    ///< max step growth per accepted step
-  double shrink_on_reject = 0.4;
 };
 
 /// Adaptive-step transient: steps grow through quiescent intervals and

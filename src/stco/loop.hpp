@@ -109,8 +109,7 @@ class StcoEngine {
   /// One observability cut of this engine's run: the process-wide
   /// obs::snapshot() overlaid with this engine's own timing, robustness,
   /// exec, and infeasibility counters under the stco./exec./solver. keys
-  /// that stco::report renders. Works with STCO_OBS=OFF (the global part is
-  /// then empty, the per-engine overlay still populates).
+  /// that stco::report renders.
   [[nodiscard]] obs::Snapshot obs_snapshot() const;
 
  private:

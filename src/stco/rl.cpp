@@ -40,6 +40,11 @@ compact::TechnologyPoint TechGrid::point(std::size_t state) const {
 
 namespace {
 
+constexpr double kAlpha = 0.4;         ///< learning rate
+constexpr double kDiscount = 0.9;
+constexpr double kEpsilonStart = 0.9;  ///< exploration probability, decayed per episode
+constexpr double kEpsilonEnd = 0.05;
+
 /// Evaluation cache shared by the searches; the expensive evaluator runs
 /// once per distinct grid state.
 class CachedCost {
@@ -102,8 +107,8 @@ SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
 
   for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
     const double eps =
-        cfg.epsilon_start +
-        (cfg.epsilon_end - cfg.epsilon_start) *
+        kEpsilonStart +
+        (kEpsilonEnd - kEpsilonStart) *
             (cfg.episodes > 1
                  ? static_cast<double>(ep) / static_cast<double>(cfg.episodes - 1)
                  : 1.0);
@@ -128,7 +133,7 @@ SearchResult q_learning_search(const TechGrid& grid, const CostFn& cost,
       for (std::size_t a = 1; a < n_actions; ++a)
         q_next_max = std::max(q_next_max, q[next * n_actions + a]);
       double& qa = q[state * n_actions + action];
-      qa += cfg.alpha * (reward + cfg.discount * q_next_max - qa);
+      qa += kAlpha * (reward + kDiscount * q_next_max - qa);
       state = next;
       c_state = c_next;
       prog.advance(1);

@@ -39,10 +39,6 @@ using CostFn = std::function<double(const compact::TechnologyPoint&)>;
 struct RlConfig {
   std::size_t episodes = 12;
   std::size_t steps_per_episode = 20;
-  double alpha = 0.4;          ///< learning rate
-  double discount = 0.9;
-  double epsilon_start = 0.9;  ///< exploration probability, decayed per episode
-  double epsilon_end = 0.05;
   std::uint64_t seed = 5;
 };
 

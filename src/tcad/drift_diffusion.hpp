@@ -17,22 +17,14 @@
 
 namespace stco::tcad {
 
+/// Source/drain contacts are heavily doped ohmic regions (majority
+/// carrier set by the film's carrier type); this is their carrier
+/// reservoir density [1/m^3]. Without it an intrinsic film cannot be
+/// supplied with carriers and the transistor never turns on.
+inline constexpr double kContactDoping = 1e24;
+
 struct DriftDiffusionOptions {
   std::size_t max_gummel = 120;
-  double tol_phi = 1e-5;        ///< Gummel convergence on ||dphi||_inf [V]
-  /// Alternative convergence: relative drain-current change per Gummel
-  /// cycle (with dphi below sqrt(tol_phi)); deep accumulation converges
-  /// slowly in phi long after the current has stabilized.
-  double tol_current = 2e-3;
-  std::size_t max_inner_newton = 40;
-  double temperature_k = kT300;
-  double exp_clamp = 34.0;
-  double max_step = 0.5;        ///< Poisson potential update cap [V]
-  /// Source/drain contacts are heavily doped ohmic regions (majority
-  /// carrier set by the film's carrier type); this is their carrier
-  /// reservoir density [1/m^3]. Without it an intrinsic film cannot be
-  /// supplied with carriers and the transistor never turns on.
-  double contact_doping = 1e24;
   ContinuationPolicy continuation{};  ///< bias-continuation recovery
 };
 

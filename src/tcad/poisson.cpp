@@ -14,6 +14,10 @@ namespace stco::tcad {
 
 namespace {
 
+constexpr double kTolUpdate = 1e-8;  ///< stop when ||dphi||_inf below this [V]
+constexpr double kMaxStep = 1.0;     ///< per-iteration |dphi| cap [V]
+constexpr double kExpClamp = 34.0;   ///< Boltzmann exponent clamp
+
 /// Relative permittivity at a node.
 double node_eps(const mesh::MeshNode& n, const TftDevice& dev) {
   switch (n.material) {
@@ -39,7 +43,7 @@ PoissonSolution solve_poisson_once(const TftDevice& dev, const Bias& bias,
                                    std::vector<numeric::TripletBuilder>& row_jac) {
   const std::size_t n = m.num_nodes();
   const std::size_t nx = m.nx();
-  const double vt = thermal_voltage(opts.temperature_k);
+  const double vt = thermal_voltage(kT300);
   const double dx = m.dx(), dy = m.dy();
 
   PoissonSolution sol;
@@ -118,8 +122,8 @@ PoissonSolution solve_poisson_once(const TftDevice& dev, const Bias& bias,
         double rho = 0.0;
         if (nd.material == mesh::Material::kSemiconductor) {
           const double ni = dev.semi.ni;
-          np[i] = ni * clamped_exp((phi[i] - sol.quasi_fermi[i]) / vt, opts.exp_clamp);
-          pp[i] = ni * clamped_exp((sol.quasi_fermi[i] - phi[i]) / vt, opts.exp_clamp);
+          np[i] = ni * clamped_exp((phi[i] - sol.quasi_fermi[i]) / vt, kExpClamp);
+          pp[i] = ni * clamped_exp((sol.quasi_fermi[i] - phi[i]) / vt, kExpClamp);
           rho = carrier_scale * (pp[i] - np[i] + dev.doping);
         } else {
           np[i] = pp[i] = 0.0;
@@ -197,16 +201,16 @@ PoissonSolution solve_poisson_once(const TftDevice& dev, const Bias& bias,
     // Per-node step clamping (not a global scaling): a large correction on
     // one node — e.g. a Dirichlet row absorbing a continuation bias jump —
     // must not throttle the Boltzmann-stabilizing updates everywhere else,
-    // or warm-started solves limit-cycle at exactly max_step.
+    // or warm-started solves limit-cycle at exactly kMaxStep.
     double applied_inf = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double d = std::clamp(res.x[i], -opts.max_step, opts.max_step);
+      const double d = std::clamp(res.x[i], -kMaxStep, kMaxStep);
       phi[i] += d;
       applied_inf = std::max(applied_inf, std::fabs(d));
     }
     sol.status.residual = applied_inf;
 
-    if (applied_inf < opts.tol_update) {
+    if (applied_inf < kTolUpdate) {
       sol.converged = true;
       sol.status.reason = numeric::SolveReason::kOk;
       break;
@@ -218,9 +222,9 @@ PoissonSolution solve_poisson_once(const TftDevice& dev, const Bias& bias,
     const auto& nd = m.node(i);
     if (nd.material == mesh::Material::kSemiconductor) {
       sol.electron_density[i] =
-          dev.semi.ni * clamped_exp((phi[i] - sol.quasi_fermi[i]) / vt, opts.exp_clamp);
+          dev.semi.ni * clamped_exp((phi[i] - sol.quasi_fermi[i]) / vt, kExpClamp);
       sol.hole_density[i] =
-          dev.semi.ni * clamped_exp((sol.quasi_fermi[i] - phi[i]) / vt, opts.exp_clamp);
+          dev.semi.ni * clamped_exp((sol.quasi_fermi[i] - phi[i]) / vt, kExpClamp);
       sol.charge_density[i] =
           kQ * (sol.hole_density[i] - sol.electron_density[i] + dev.doping);
     }

@@ -30,10 +30,6 @@ struct PoissonSolution {
 
 struct PoissonOptions {
   std::size_t max_newton = 80;
-  double tol_update = 1e-8;     ///< stop when ||dphi||_inf below this [V]
-  double max_step = 1.0;        ///< per-iteration |dphi| cap [V]
-  double exp_clamp = 34.0;      ///< Boltzmann exponent clamp
-  double temperature_k = kT300;
   ContinuationPolicy continuation{};  ///< bias-continuation recovery
 };
 

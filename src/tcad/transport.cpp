@@ -17,6 +17,10 @@ double oxide_capacitance(const TftDevice& dev) {
 
 namespace {
 
+constexpr std::size_t kSlicePoints = 24;  ///< vertical mesh rows in the film+oxide slice
+constexpr double kTolUpdate = 1e-10;      ///< Newton stop [V]
+constexpr double kGmin = 1e-12;           ///< numerical floor conductance [S]
+
 struct SliceResult {
   double qs = 0.0;
   numeric::SolveStatus status;
@@ -37,8 +41,8 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
                              std::vector<double>* phi_io,
                              numeric::SolveBudget& budget,
                              numeric::TridiagWorkspace& tws) {
-  const double vt = thermal_voltage(opts.temperature_k);
-  const std::size_t n_total = std::max<std::size_t>(opts.slice_points, 8);
+  const double vt = thermal_voltage(kT300);
+  const std::size_t n_total = kSlicePoints;
   // Split rows between film and oxide proportionally, at least 3 each.
   std::size_t n_film =
       std::max<std::size_t>(3, static_cast<std::size_t>(std::round(
@@ -136,7 +140,7 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
     const double damp = std::min(1.0, step_cap / std::max(step, 1e-300));
     for (std::size_t i = 0; i < n; ++i) phi[i] += damp * dphi[i];
     out.status.residual = step * damp;
-    if (step * damp < opts.tol_update) {
+    if (step * damp < kTolUpdate) {
       out.status.reason = numeric::SolveReason::kOk;
       break;
     }
@@ -245,11 +249,10 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
   // runs from vs to vd; for N-type forward operation that de-biases the
   // charge toward the drain (pinch-off emerges naturally since Q_s decays
   // exponentially once the local overdrive is gone).
-  const std::size_t steps = std::max<std::size_t>(opts.integration_steps, 4);
-  const double dv = vd_mag / static_cast<double>(steps);
+  const double dv = vd_mag / static_cast<double>(kIntegrationSteps);
   double integral = 0.0;
   double q_prev = -1.0, mu_prev = 0.0;
-  for (std::size_t k = 0; k <= steps; ++k) {
+  for (std::size_t k = 0; k <= kIntegrationSteps; ++k) {
     const double v_local = bias.vs + sgn_vd * static_cast<double>(k) * dv;
     const SliceResult sr =
         solve_slice_robust(dev, bias.vg, v_local, opts, budget, out.stats, tws);
@@ -281,7 +284,7 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
     mu_prev = mu;
   }
   const double ion = (dev.width / dev.length) * integral;
-  out.id = ion + srh_leakage(dev, vd_mag) + opts.gmin * vd_mag;
+  out.id = ion + srh_leakage(dev, vd_mag) + kGmin * vd_mag;
   return out;
 }
 

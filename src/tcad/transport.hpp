@@ -20,13 +20,12 @@
 
 namespace stco::tcad {
 
+/// Gradual-channel integration intervals from source to drain; the sweep
+/// solves kIntegrationSteps + 1 vertical slices.
+inline constexpr std::size_t kIntegrationSteps = 32;
+
 struct TransportOptions {
-  std::size_t slice_points = 24;    ///< vertical mesh rows in the film+oxide slice
-  std::size_t integration_steps = 32;
   std::size_t max_newton = 60;
-  double tol_update = 1e-10;        ///< Newton stop [V]
-  double temperature_k = kT300;
-  double gmin = 1e-12;              ///< numerical floor conductance [S]
   /// Recovery for diverging vertical slices: damping escalation first, then
   /// gate-bias continuation (ramp vg from the local channel potential).
   ContinuationPolicy continuation{};

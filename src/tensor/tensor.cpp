@@ -28,7 +28,7 @@ Tensor Tensor::full(std::size_t rows, std::size_t cols, double fill, bool requir
 
 Tensor Tensor::from_data(std::vector<double> data, std::size_t rows, std::size_t cols,
                          bool requires_grad) {
-  if (data.size() != rows * cols) throw std::invalid_argument("Tensor::from_data: size");
+  if (!holds_shape(data.size(), rows, cols)) throw std::invalid_argument("Tensor::from_data: size");
   auto n = new_node(rows, cols);
   n->value = std::move(data);
   n->requires_grad = requires_grad;

@@ -15,6 +15,12 @@
 
 namespace stco::tensor {
 
+/// True when a buffer of `size` elements holds exactly rows x cols. Checks
+/// by division, so a rows*cols product that wraps never matches.
+inline bool holds_shape(std::size_t size, std::size_t rows, std::size_t cols) noexcept {
+  return cols == 0 ? size == 0 : size % cols == 0 && size / cols == rows;
+}
+
 class Tensor;
 
 /// Autograd graph node. Not used directly by clients; see Tensor.

@@ -197,10 +197,8 @@ TEST(CharacterizeScope, DelaySlewRequestKeepsArcsAndRunsFewerSims) {
   EXPECT_TRUE(timing.nonflip.empty());
   EXPECT_EQ(timing.min_setup, 0.0);
   EXPECT_EQ(timing.failed_sims, 0u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(r2 - r1, 0u);
-    EXPECT_LT(r2 - r1, r1 - r0);
-  }
+  EXPECT_GT(r2 - r1, 0u);
+  EXPECT_LT(r2 - r1, r1 - r0);
 }
 
 TEST(CharacterizeScope, DffSetupRequestMatchesFullRun) {
@@ -218,7 +216,6 @@ TEST(CharacterizeScope, DffSetupRequestMatchesFullRun) {
 }
 
 TEST(CharacterizeScope, ProgressCountsOnlyTasksThatRun) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   auto& prog = obs::progress("cells.characterize.sims");
   const auto done0 = prog.done();
   const auto total0 = prog.total();
@@ -237,7 +234,6 @@ TEST(CharacterizeScope, ProgressCountsOnlyTasksThatRun) {
 TEST(CharacterizeScope, EachStaticStateIsSolvedOnce) {
   // Leakage, flip and non-flip energy all read the powers of the 2^k input
   // states; a full characterization solves each of them exactly once.
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   const auto& def = find_cell("NAND2");
   auto& solves = obs::counter("spice.dc.solves");
   const auto s0 = solves.value();

@@ -69,7 +69,6 @@ TEST(LibraryScope, SpiceLibraryEqualsFullCharacterization) {
 /// The centre point measures what the library keeps and nothing else: one
 /// 19-cell build on the STCO loop's 2x2 axes runs 405 transients.
 TEST(LibraryScope, SpiceLibraryRunsOnlyTheTransientsItKeeps) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   LibraryBuildOptions opts;
   opts.slew_axis = {10e-9, 40e-9};
   opts.load_axis = {20e-15, 100e-15};
@@ -165,7 +164,6 @@ TEST(GnnLibrary, OneBatchedForwardEqualsSingleGraphPredictions) {
 }
 
 TEST(GnnLibrary, OneInferenceBatchPerLibrary) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   auto& batches = obs::counter("gnn.infer.batches");
   auto& graphs = obs::counter("gnn.infer.graphs");
   LibraryBuildOptions opts;

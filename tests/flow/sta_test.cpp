@@ -127,7 +127,7 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
   rep.num_ffs = nl.num_flipflops();
 
   const std::size_t n = nl.num_nets();
-  numeric::Vec arrival(n, 0.0), slew(n, opts.primary_input_slew);
+  numeric::Vec arrival(n, 0.0), slew(n, kPrimaryInputSlew);
   numeric::Vec load(n, 0.0);
 
   std::vector<std::size_t> fanout(n, 0);
@@ -142,23 +142,23 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
     load[ff.d] += lib.cell("DFF").input_cap;
     ++fanout[ff.d];
   }
-  for (NetId po : nl.primary_outputs()) load[po] += opts.primary_output_load;
+  for (NetId po : nl.primary_outputs()) load[po] += kPrimaryOutputLoad;
   for (std::size_t i = 0; i < n; ++i)
-    load[i] += opts.wire_cap_per_fanout * static_cast<double>(fanout[i]);
+    load[i] += kWireCapPerFanout * static_cast<double>(fanout[i]);
 
   for (NetId pi : nl.primary_inputs()) {
     arrival[pi] = 0.0;
-    slew[pi] = opts.primary_input_slew;
+    slew[pi] = kPrimaryInputSlew;
   }
   for (const auto& ff : nl.flipflops()) {
     const auto& dff = lib.cell("DFF");
     arrival[ff.q] = dff.delay(dff.slew_axis.size() / 2, dff.load_axis.size() / 2);
-    slew[ff.q] = opts.primary_input_slew;
+    slew[ff.q] = kPrimaryInputSlew;
   }
 
   for (const auto& g : nl.gates()) {
     const auto& ct = lib.cell(g.cell);
-    double worst_arr = 0.0, worst_slew = opts.primary_input_slew;
+    double worst_arr = 0.0, worst_slew = kPrimaryInputSlew;
     for (NetId in : g.fanin) {
       if (arrival[in] >= worst_arr) {
         worst_arr = arrival[in];
@@ -174,7 +174,7 @@ StaReport reference_analyze(const GateNetlist& nl, const TimingLibrary& lib,
     crit = std::max(crit, arrival[ff.d] + lib.dff_setup);
   for (NetId po : nl.primary_outputs()) crit = std::max(crit, arrival[po]);
   rep.critical_path = crit;
-  rep.min_period = crit * opts.clock_margin;
+  rep.min_period = crit * kClockMargin;
   rep.fmax = rep.min_period > 0 ? 1.0 / rep.min_period : 0.0;
 
   double dyn_energy_per_cycle = 0.0, leak = 0.0, area = 0.0;

@@ -222,11 +222,8 @@ TEST(InferParity, WarmStartCompilesPlanExactlyOncePerEngine) {
   const std::uint64_t before = obs::counter("gnn.infer.plan_compiles").value();
   const auto status = warm.try_load_weights("/tmp/stco_infer_parity_weights.bin");
   ASSERT_TRUE(persist::ok(status));
-  // One rebuild per engine (poisson + iv), nothing more. The counter only
-  // counts when the obs layer is compiled in.
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(obs::counter("gnn.infer.plan_compiles").value(), before + 2);
-  }
+  // One rebuild per engine (poisson + iv), nothing more.
+  EXPECT_EQ(obs::counter("gnn.infer.plan_compiles").value(), before + 2);
   EXPECT_EQ(warm.poisson_predictor().fingerprint(),
             trained.poisson_predictor().fingerprint());
   EXPECT_EQ(warm.iv_predictor().fingerprint(),

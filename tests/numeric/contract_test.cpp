@@ -145,7 +145,6 @@ TEST(ContractDeath, UnregisteredMetricKeyAborts) {
 
 TEST(ContractDeath, UnregisteredSpanNameAborts) {
   if (!kOn) GTEST_SKIP() << "STCO_CHECKS=OFF: any span name accepted";
-  if (!stco::obs::kEnabled) GTEST_SKIP() << "STCO_OBS=OFF: Span is a stub";
   // Span names are validated on the recording path, which only runs while
   // tracing is live — so arm tracing inside the death statement (the child
   // process inherits the parent's tracing-off state).

@@ -16,7 +16,6 @@ namespace stco::obs {
 namespace {
 
 TEST(Metrics, CounterGaugeBasics) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   Counter& c = counter("test.obs.counter_basics");
   c.reset();
   c.add();
@@ -33,7 +32,6 @@ TEST(Metrics, CounterGaugeBasics) {
 }
 
 TEST(Metrics, HistogramBuckets) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   Histogram& h = histogram("test.obs.hist_buckets", {1.0, 10.0, 100.0});
   h.reset();
   h.observe(0.5);    // bucket 0 (<= 1)
@@ -56,8 +54,7 @@ TEST(Metrics, HistogramBuckets) {
 }
 
 TEST(Metrics, SnapshotValueSemantics) {
-  // Snapshot is a plain value type and must work in BOTH build modes —
-  // stco::report depends on that under STCO_OBS=OFF.
+  // Snapshot is a plain value type: stco::report fills one by hand.
   Snapshot s;
   s.set_counter("a", 3);
   s.set_gauge("b", 1.5);
@@ -85,7 +82,6 @@ TEST(Metrics, SnapshotJsonIsValidAndTagged) {
 }
 
 TEST(Metrics, RegistrySnapshotRoundTrip) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   Counter& c = counter("test.obs.roundtrip.c");
   Histogram& h = histogram("test.obs.roundtrip.h", {1.0});
   c.reset();
@@ -109,7 +105,6 @@ TEST(Metrics, RegistrySnapshotRoundTrip) {
 // scheduler may interleave the atomic increments differently but the
 // totals (and therefore the Snapshot) cannot depend on thread count.
 TEST(Metrics, DeterministicAcrossThreadCounts) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   constexpr std::size_t kItems = 257;
   auto run = [&](std::size_t threads) {
     Counter& c = counter("test.obs.determinism.c");

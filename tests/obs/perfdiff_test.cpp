@@ -202,7 +202,6 @@ TEST_F(PerfdiffTest, MissingFileReportsError) {
 // --- telemetry validation ------------------------------------------------
 
 TEST_F(PerfdiffTest, ValidatesSessionProducedStream) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   const std::string file = (dir_ / "live.jsonl").string();
   obs::reset_progress();
   {

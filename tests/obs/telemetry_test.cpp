@@ -219,7 +219,6 @@ TEST(SnapshotDelta, DeltaStreamFoldsBackIntoTotals) {
 // --- ProgressTask --------------------------------------------------------
 
 TEST(Progress, AddAdvanceSampleEta) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   ProgressTask& p = progress("test.prog.basic");
   p.reset();
   EXPECT_EQ(p.total(), 0u);
@@ -238,7 +237,6 @@ TEST(Progress, AddAdvanceSampleEta) {
 }
 
 TEST(Progress, ReduceWorkFinishesEarlyStop) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   ProgressTask& p = progress("test.prog.early");
   p.reset();
   p.add_work(100);
@@ -251,7 +249,6 @@ TEST(Progress, ReduceWorkFinishesEarlyStop) {
 }
 
 TEST(Progress, SnapshotCarriesRegisteredTasks) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   ProgressTask& p = progress("test.prog.snap");
   p.reset();
   p.add_work(5);
@@ -267,7 +264,6 @@ TEST(Progress, SnapshotCarriesRegisteredTasks) {
 // --- always-on span statistics ------------------------------------------
 
 TEST(SpanStats, AggregatedWithoutTraceSession) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   ASSERT_FALSE(tracing_enabled());
   reset_span_stats();
   {
@@ -298,7 +294,6 @@ TEST(SpanStats, AggregatedWithoutTraceSession) {
 // --- TelemetrySession JSONL ---------------------------------------------
 
 TEST_F(TelemetryTest, SessionWritesParseableDeltaStream) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   Counter& c = counter("test.tel.events");
   c.reset();
   const std::string file = path("t.jsonl");
@@ -325,7 +320,6 @@ TEST_F(TelemetryTest, SessionWritesParseableDeltaStream) {
 }
 
 TEST_F(TelemetryTest, QuietTicksWriteNothing) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   const std::string file = path("quiet.jsonl");
   std::uint64_t after_start = 0;
   {
@@ -343,7 +337,6 @@ TEST_F(TelemetryTest, QuietTicksWriteNothing) {
 }
 
 TEST_F(TelemetryTest, TornTailLineIsSkippedNotFatal) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   Counter& c = counter("test.tel.torn");
   c.reset();
   const std::string file = path("torn.jsonl");
@@ -425,7 +418,6 @@ TEST(SnapshotJson, JsonRoundTripThroughParser) {
 // --- the headline contract: killed-and-resumed build under telemetry ----
 
 TEST_F(TelemetryTest, KilledAndResumedBuildLeavesCoherentStream) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   const std::string file = path("build.jsonl");
   persist::RetryPolicy no_sleep{1, 0, false};
 

@@ -53,7 +53,6 @@ bool has_ancestor(const std::map<SpanId, SpanRecord>& ids, SpanRecord s,
 }
 
 TEST(Trace, NestedSpansSameThread) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   TraceSession trace;
   {
     Span outer("test.outer");
@@ -84,7 +83,6 @@ TEST(Trace, DisabledRecordsNothing) {
 }
 
 TEST(Trace, SpanTreeAcrossParallelFor) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   TraceSession trace;
   SpanId root_id = 0;
   constexpr std::size_t kTasks = 64;
@@ -109,7 +107,6 @@ TEST(Trace, SpanTreeAcrossParallelFor) {
 }
 
 TEST(Trace, ChromeTraceJsonRoundTrip) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   TraceSession trace;
   {
     Span root("test.export_root");
@@ -135,7 +132,6 @@ TEST(Trace, ChromeTraceJsonRoundTrip) {
 }
 
 TEST(Trace, WriteFileAndReload) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   const std::string path = "/tmp/stco_obs_trace_test.json";
   {
     TraceSession trace;

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -55,9 +56,7 @@ class ArtifactsTest : public ::testing::Test {
     return obs::snapshot().counter_or("persist.corrupt_artifacts");
   }
   static void expect_counted(std::uint64_t before) {
-    if constexpr (obs::kEnabled) {
-      EXPECT_EQ(corrupt_count(), before + 1);
-    }
+    EXPECT_EQ(corrupt_count(), before + 1);
   }
 
   fs::path dir_;
@@ -187,6 +186,24 @@ TEST_F(ArtifactsTest, WeightsTrailingBytesAreBadPayload) {
   EXPECT_EQ(read_weights(storage_, path("w.stca"), kTagA, params),
             LoadStatus::kBadPayload);
   expect_counted(before);
+}
+
+// Whatever single payload byte is damaged behind a valid checksum, loading
+// ends in a LoadStatus: no other exception, no read past the buffer (ASan).
+TEST_F(ArtifactsTest, WeightsEveryMutatedByteEndsInAStatus) {
+  write_weights(storage_, path("w.stca"), kTagA, sample_params());
+  const std::string payload = weights_payload("w.stca");
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    std::string bytes = payload;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+    write_artifact(storage_, path("m.stca"), kind::kWeights, kWeightsSchema, bytes);
+    auto params = sample_params();
+    try {
+      (void)read_weights(storage_, path("m.stca"), kTagA, params);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << i << ": " << e.what();
+    }
+  }
 }
 
 TEST_F(ArtifactsTest, WeightsBadHeaderIsRejected) {

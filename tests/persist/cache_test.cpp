@@ -70,9 +70,7 @@ TEST_F(CostCacheTest, WarmStartRestoresCostsAndWeights) {
   // The weights came from the stored calibration library: nothing was built.
   EXPECT_EQ(warm.timing().evaluations.load(), 0u);
   EXPECT_EQ(warm.robustness().attempts, 0u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(warm_hits() - warm_before, 2u);
-  }
+  EXPECT_EQ(warm_hits() - warm_before, 2u);
 }
 
 // A library depends on the technology point and the library options only.
@@ -136,9 +134,7 @@ TEST_F(CostCacheTest, CorruptCacheDegradesToCountedColdStart) {
     EXPECT_EQ(again.cost(grid.point(0)), cold_cost);
     EXPECT_EQ(again.timing().evaluations.load(), 1u);  // calibration loads
   }
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(corrupt_count() - corrupt_before, 1u);
-  }
+  EXPECT_EQ(corrupt_count() - corrupt_before, 1u);
   // The rebuilt library replaced the corrupt file.
   StcoEngine healed(cfg, SpiceBackend{});
   EXPECT_EQ(healed.cost(grid.point(0)), cold_cost);
@@ -233,9 +229,7 @@ class LibraryDecoderTest : public ::testing::Test {
     EXPECT_EQ(rep.min_period, report_.min_period);
     EXPECT_EQ(rep.total_power, report_.total_power);
     EXPECT_EQ(rep.area, report_.area);
-    if constexpr (obs::kEnabled) {
-      EXPECT_EQ(corrupt_count() - before, 1u);
-    }
+    EXPECT_EQ(corrupt_count() - before, 1u);
     // The rebuild stored a good library again.
     EXPECT_TRUE(flow::read_library(persist::default_storage(), path(), point(),
                                    config().lib_opts)

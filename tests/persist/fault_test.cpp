@@ -55,9 +55,7 @@ TEST_F(FaultTest, TransientErrorIsRetriedToSuccess) {
   std::string got;
   ASSERT_EQ(storage.read(path("w.txt"), got), LoadStatus::kOk);
   EXPECT_EQ(got, "survives two failed attempts");
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(obs::snapshot().counter_or("persist.retries"), retries_before + 2);
-  }
+  EXPECT_EQ(obs::snapshot().counter_or("persist.retries"), retries_before + 2);
 }
 
 TEST_F(FaultTest, ExhaustedRetriesThrowRuntimeError) {
@@ -154,9 +152,7 @@ TEST_F(FaultTest, InjectedFaultsAreCounted) {
   FaultInjector inject(/*seed=*/23, FaultKind::kBitFlip);
   Storage storage(fast_retry(), &inject);
   storage.write_atomic(path("b.bin"), "some payload bytes");
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(obs::snapshot().counter_or("persist.faults_injected"), before + 1);
-  }
+  EXPECT_EQ(obs::snapshot().counter_or("persist.faults_injected"), before + 1);
 }
 
 }  // namespace

@@ -106,7 +106,6 @@ TEST_F(FormatTest, MissingFileIsNotFoundNotCorrupt) {
 }
 
 TEST_F(FormatTest, ReadCountsOnlyFilesThatExist) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with STCO_OBS=OFF";
   std::string got;
   const std::uint64_t before = obs::snapshot().counter_or("persist.reads");
   EXPECT_EQ(storage_.read(path("absent.bin"), got), LoadStatus::kNotFound);
@@ -173,9 +172,7 @@ TEST_F(FormatTest, CorruptionIsCountedGracefully) {
   const std::uint64_t before = obs::snapshot().counter_or("persist.corrupt_artifacts");
   const ArtifactData got = read_artifact(storage_, path("g.stca"), kTestKind);
   EXPECT_TRUE(corrupt(got.status));
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(obs::snapshot().counter_or("persist.corrupt_artifacts"), before);
-  }
+  EXPECT_GT(obs::snapshot().counter_or("persist.corrupt_artifacts"), before);
 }
 
 TEST_F(FormatTest, AtomicWriteReplacesAndCleansUpTemp) {

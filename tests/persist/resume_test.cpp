@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "src/charlib/checkpoint.hpp"
 #include "src/gnn/serialize.hpp"
 #include "src/obs/obs.hpp"
+#include "src/persist/artifacts.hpp"
 #include "src/persist/fault.hpp"
 #include "src/persist/manifest.hpp"
 
@@ -72,6 +74,33 @@ TEST_F(ResumeTest, ManifestRoundTrip) {
   EXPECT_TRUE(got.has(2));
 }
 
+// Whatever single payload byte is damaged behind a valid checksum, loading
+// ends in a LoadStatus: no other exception, no read past the buffer (ASan).
+TEST_F(ResumeTest, ManifestEveryMutatedByteEndsInAStatus) {
+  persist::Storage storage(no_sleep());
+  persist::Manifest m;
+  m.dataset_kind = "charlib";
+  m.fingerprint = 0xABCDEF0123456789ull;
+  m.num_shards = 3;
+  m.completed = {0, 2};
+  persist::save_manifest(storage, sub("m.stca"), m);
+  const persist::ArtifactData art =
+      persist::read_artifact(storage, sub("m.stca"), persist::kind::kManifest);
+  ASSERT_TRUE(persist::ok(art.status));
+  for (std::size_t i = 0; i < art.payload.size(); ++i) {
+    std::string bytes = art.payload;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+    persist::write_artifact(storage, sub("x.stca"), persist::kind::kManifest, art.schema,
+                            bytes);
+    persist::Manifest got;
+    try {
+      (void)persist::load_manifest(storage, sub("x.stca"), got);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << i << ": " << e.what();
+    }
+  }
+}
+
 TEST_F(ResumeTest, MissingManifestIsNotFound) {
   persist::Storage storage(no_sleep());
   persist::Manifest got;
@@ -120,7 +149,88 @@ TEST(GraphCodec, RoundTripsAndValidates) {
   EXPECT_THROW(gnn::get_graph(rb), persist::PayloadError);
 }
 
+/// 2^63 nodes of dimension 2 and no feature values: the feature-size
+/// product wraps to 0, so only an overflow-aware check rejects it.
+gnn::Graph wrapped_feature_graph() {
+  gnn::Graph g;
+  g.num_nodes = std::size_t{1} << 63;
+  g.node_dim = 2;
+  return g;
+}
+
+TEST(GraphCodec, WrappedFeatureSizeIsRejected) {
+  EXPECT_FALSE(wrapped_feature_graph().valid());
+  persist::PayloadWriter w;
+  gnn::put_graph(w, wrapped_feature_graph());
+  persist::PayloadReader r(w.bytes());
+  EXPECT_THROW(gnn::get_graph(r), persist::PayloadError);
+}
+
 // --- charlib resume ------------------------------------------------------
+
+/// A charlib shard payload (manifest.hpp schema 2), encoded field by field
+/// so a test can place any sample behind a valid checksum.
+std::string charlib_shard_payload(const persist::ShardHeader& header,
+                                  const std::vector<charlib::CharSample>& samples,
+                                  const charlib::DatasetStats& stats) {
+  persist::PayloadWriter w;
+  w.put_u64(header.fingerprint);
+  w.put_u32(header.index);
+  w.put_u64(samples.size());
+  for (const auto& s : samples) {
+    gnn::put_graph(w, s.graph);
+    w.put_u32(static_cast<std::uint32_t>(s.metric));
+    w.put_f64(s.target);
+    w.put_str(s.cell);
+  }
+  w.put_u64(stats.characterizations);
+  w.put_u64(stats.degraded_characterizations);
+  w.put_u64(stats.failed_sims);
+  persist::put_robustness(w, stats.solver);
+  return w.bytes();
+}
+
+// Whatever single payload byte of a one-graph shard is damaged behind a
+// valid checksum, loading ends in a LoadStatus: no other exception, no
+// read past the buffer (ASan).
+TEST_F(ResumeTest, CharlibShardEveryMutatedByteEndsInAStatus) {
+  charlib::CharSample sample;
+  sample.graph.num_nodes = 3;
+  sample.graph.node_dim = 2;
+  sample.graph.edge_dim = 1;
+  sample.graph.edge_src = {0, 1};
+  sample.graph.edge_dst = {1, 2};
+  sample.graph.node_features = {1, 2, 3, 4, 5, 6};
+  sample.graph.edge_features = {0.5, -0.5};
+  sample.graph.graph_targets = {1e-9};
+  sample.metric = cells::Metric::kDelay;
+  sample.target = 1e-9;
+  sample.cell = "INV";
+  charlib::DatasetStats stats;
+  stats.characterizations = 1;
+  const std::string payload = charlib_shard_payload({7, 0}, {sample}, stats);
+
+  persist::Storage storage(no_sleep());
+  const std::string path = sub("charlib-shard-0.stca");
+  persist::write_artifact(storage, path, persist::kind::kCharlibShard,
+                          persist::kShardSchema, payload);
+  const auto pristine = charlib::load_charlib_shard(storage, path);
+  ASSERT_TRUE(persist::ok(pristine.status));
+  ASSERT_EQ(pristine.samples.size(), 1u);
+  expect_same_graph(pristine.samples[0].graph, sample.graph);
+
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    std::string bytes = payload;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0xFF);
+    persist::write_artifact(storage, path, persist::kind::kCharlibShard,
+                            persist::kShardSchema, bytes);
+    try {
+      (void)charlib::load_charlib_shard(storage, path);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "byte " << i << ": " << e.what();
+    }
+  }
+}
 
 charlib::DatasetOptions tiny_charlib_opts() {
   charlib::DatasetOptions opts;
@@ -181,9 +291,7 @@ TEST_F(ResumeTest, CharlibKillAndResumeIsBitIdentical) {
     expect_same_graph(resumed[i].graph, plain[i].graph);
   }
   EXPECT_GT(stats.characterizations, 0u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(obs::snapshot().counter_or("persist.shards_loaded"), loaded_before + 1);
-  }
+  EXPECT_EQ(obs::snapshot().counter_or("persist.shards_loaded"), loaded_before + 1);
 
   // Run 3: everything checkpointed — a pure load, still identical.
   const auto warm = charlib::build_charlib_dataset_resumable(corners, opts, resume);
@@ -216,12 +324,53 @@ TEST_F(ResumeTest, CharlibCorruptShardIsRebuiltNotTrusted) {
   ASSERT_EQ(rebuilt.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(rebuilt[i].target, first[i].target);
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(obs::snapshot().counter_or("persist.corrupt_artifacts"), corrupt_before);
-  }
+  EXPECT_GT(obs::snapshot().counter_or("persist.corrupt_artifacts"), corrupt_before);
   // The rebuilt shard validates again.
   const auto reloaded = charlib::load_charlib_shard(storage, shard_path);
   EXPECT_TRUE(persist::ok(reloaded.status));
+}
+
+// A recorded shard whose graph claims 2^63 nodes with no features passes
+// the checksum and the header check; the graph check must still refuse it,
+// so the shard is counted as corrupt and rebuilt.
+TEST_F(ResumeTest, CharlibShardWithWrappedGraphIsRebuilt) {
+  const auto corners = charlib::corner_grid(charlib::CornerRanges{}, 1);
+  const auto opts = tiny_charlib_opts();
+  persist::Storage storage(no_sleep());
+  charlib::CheckpointOptions ckpt{sub("ckpt"), /*shard_size=*/1, &storage};
+  const auto first = charlib::build_charlib_dataset_resumable(corners, opts, ckpt);
+  ASSERT_FALSE(first.empty());
+
+  const std::string shard_path = sub("ckpt") + "/charlib-shard-0.stca";
+  const persist::ShardHeader header{
+      charlib::charlib_dataset_fingerprint(corners, opts, ckpt.shard_size), 0};
+  const auto built = charlib::load_charlib_shard(storage, shard_path);
+  ASSERT_TRUE(persist::ok(built.status));
+  // The field-by-field encoding is the codec's: it re-encodes the real shard.
+  const persist::ArtifactData art =
+      persist::read_artifact(storage, shard_path, persist::kind::kCharlibShard);
+  ASSERT_EQ(charlib_shard_payload(header, built.samples, built.stats), art.payload);
+
+  charlib::CharSample bad = built.samples[0];
+  bad.graph = wrapped_feature_graph();
+  persist::write_artifact(storage, shard_path, persist::kind::kCharlibShard,
+                          persist::kShardSchema,
+                          charlib_shard_payload(header, {bad}, built.stats));
+
+  std::uint64_t corrupt_before = obs::snapshot().counter_or("persist.corrupt_artifacts");
+  EXPECT_EQ(charlib::load_charlib_shard(storage, shard_path).status,
+            persist::LoadStatus::kBadPayload);
+  EXPECT_EQ(obs::snapshot().counter_or("persist.corrupt_artifacts"), corrupt_before + 1);
+
+  corrupt_before = obs::snapshot().counter_or("persist.corrupt_artifacts");
+  const auto rebuilt = charlib::build_charlib_dataset_resumable(corners, opts, ckpt);
+  ASSERT_EQ(rebuilt.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    expect_same_graph(rebuilt[i].graph, first[i].graph);
+    EXPECT_EQ(rebuilt[i].target, first[i].target);
+  }
+  EXPECT_EQ(obs::snapshot().counter_or("persist.corrupt_artifacts"), corrupt_before + 1);
+  EXPECT_TRUE(persist::ok(charlib::load_charlib_shard(storage, shard_path).status));
 }
 
 TEST_F(ResumeTest, CharlibConfigChangeInvalidatesCheckpoint) {

@@ -121,15 +121,13 @@ TEST_F(ShardsTest, KillBeforeRenameThenResumeMatchesUninterruptedRun) {
   EXPECT_EQ(run(storage_, 1, &stats), expected());
   EXPECT_EQ(built_, (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_EQ(stats.items, kItems);  // loaded shard's stats count too
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(counter("persist.shards_loaded") - loaded, 1u);
-    EXPECT_EQ(counter("persist.shards_loaded") - loaded +
-                  counter("persist.shards_built") - built,
-              kNumShards);
-    const obs::ProgressSnapshot p = obs::progress(kProgressTask).sample();
-    EXPECT_EQ(p.done, kItems);
-    EXPECT_EQ(p.total, kItems);
-  }
+  EXPECT_EQ(counter("persist.shards_loaded") - loaded, 1u);
+  EXPECT_EQ(counter("persist.shards_loaded") - loaded +
+                counter("persist.shards_built") - built,
+            kNumShards);
+  const obs::ProgressSnapshot p = obs::progress(kProgressTask).sample();
+  EXPECT_EQ(p.done, kItems);
+  EXPECT_EQ(p.total, kItems);
 
   // Everything recorded: a pure load.
   EXPECT_EQ(run(storage_), expected());
@@ -146,9 +144,7 @@ TEST_F(ShardsTest, CorruptShardIsCountedAndRebuilt) {
   const std::uint64_t corrupt = counter("persist.corrupt_artifacts");
   EXPECT_EQ(run(storage_), expected());
   EXPECT_EQ(built_, (std::vector<std::uint32_t>{2}));
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
-  }
+  EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
   EXPECT_TRUE(ok(load_shard<U64Codec>(storage_, shard_file(2)).status));
 }
 
@@ -169,9 +165,7 @@ TEST_F(ShardsTest, ShardFromAnotherIndexIsRejected) {
   const std::uint64_t corrupt = counter("persist.corrupt_artifacts");
   EXPECT_EQ(run(storage_), expected());
   EXPECT_EQ(built_, (std::vector<std::uint32_t>{1}));
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
-  }
+  EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
 }
 
 TEST_F(ShardsTest, ShardFromAnotherConfigurationIsRejected) {
@@ -194,9 +188,7 @@ TEST_F(ShardsTest, ShardWithTrailingBytesIsRejected) {
   const std::uint64_t corrupt = counter("persist.corrupt_artifacts");
   EXPECT_EQ(run(storage_), expected());
   EXPECT_EQ(built_, (std::vector<std::uint32_t>{3}));
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
-  }
+  EXPECT_EQ(counter("persist.corrupt_artifacts"), corrupt + 1);
 }
 
 TEST_F(ShardsTest, ManifestIndexOutOfRangeIsBadPayload) {

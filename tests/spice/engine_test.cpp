@@ -233,10 +233,7 @@ TEST(LuCache, LinearCircuitReusesFactorization) {
   const auto new_reuses = reuses.value() - r0;
   // ~100 timesteps: far more solves reuse the factorization than build one
   // (fresh factors only at the DC point and on dt/integration changes).
-  // The counters only record when the obs layer is compiled in.
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(new_reuses, new_factors * 4);
-  }
+  EXPECT_GT(new_reuses, new_factors * 4);
 }
 
 TEST(LuCache, ReusedFactorizationMatchesAnalyticRc) {

@@ -119,7 +119,7 @@ TranResult budget_limited_transient() {
   nl.add_resistor("R1", in, out, 1e3);
   nl.add_capacitor("C1", out, kGround, 1e-9);
   EngineOptions opts;
-  opts.retry.iteration_budget = 8;
+  opts.iteration_budget = 8;
   return transient(nl, 10e-6, 0.5e-6, opts);
 }
 

@@ -92,8 +92,8 @@ TEST(RunReport, AttributionTreeFromSpanStats) {
   const std::string without = run_report_markdown(sample_inputs());
   EXPECT_EQ(without.find("## Where did the time go"), std::string::npos);
 
-  // Hand-populated span aggregates (the value-type path, so this also
-  // holds with STCO_OBS=OFF): grouped by layer, heaviest layer first.
+  // Hand-populated span aggregates (the value-type path): grouped by
+  // layer, heaviest layer first.
   auto in = sample_inputs();
   in.obs.spans["tcad.poisson.solve"] = {40, 800'000'000, 30'000'000};
   in.obs.spans["tcad.dd.solve"] = {10, 200'000'000, 25'000'000};

@@ -79,7 +79,7 @@ TEST(DriftDiffusion, CarrierDensitiesPositiveAndContactsPinned) {
     EXPECT_GT(dd.hole_density[i], 0.0);
     if (mesh.node(i).dirichlet) {
       // Ohmic contact: majority density equals the reservoir doping.
-      EXPECT_NEAR(dd.electron_density[i] / opts.contact_doping, 1.0, 1e-6);
+      EXPECT_NEAR(dd.electron_density[i] / kContactDoping, 1.0, 1e-6);
     }
   }
 }

@@ -168,7 +168,7 @@ TEST(Robustness, TransportSlicesRecoverThroughContinuation) {
   TransportOptions opts;
   opts.max_newton = 8;
   const auto r = drain_current_ex(dev, bias, opts);
-  const std::size_t slices = opts.integration_steps + 1;
+  const std::size_t slices = kIntegrationSteps + 1;
   ASSERT_TRUE(r.valid);
   EXPECT_EQ(r.status.reason, numeric::SolveReason::kOk);
   EXPECT_EQ(r.stats.attempts, slices);

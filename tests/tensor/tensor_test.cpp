@@ -17,6 +17,8 @@ TEST(Tensor, Construction) {
 
 TEST(Tensor, FromDataSizeChecked) {
   EXPECT_THROW(Tensor::from_data({1, 2, 3}, 2, 2), std::invalid_argument);
+  // 2^63 x 2 wraps to 0 elements: an empty buffer must not pass as that shape.
+  EXPECT_THROW(Tensor::from_data({}, std::size_t{1} << 63, 2), std::invalid_argument);
   const Tensor t = Tensor::from_data({1, 2, 3, 4}, 2, 2);
   EXPECT_DOUBLE_EQ(t(1, 0), 3.0);
 }
