@@ -164,13 +164,17 @@ SliceResult solve_slice_once(const TftDevice& dev, double vg, double v_channel,
 
 /// Slice solve with the recovery ladder: direct attempt, tightened damping,
 /// then gate-bias continuation from the flat (vg = v_channel) slice.
+/// `warm` (when non-null) is the direct attempt's `phi_io`: its start
+/// potential (cold unless it holds one per node) and its final potential.
+/// The damping retries and the walk always start cold.
 SliceResult solve_slice_robust(const TftDevice& dev, double vg, double v_channel,
                                const TransportOptions& opts,
                                numeric::SolveBudget& budget,
                                numeric::RobustnessStats& stats,
-                               numeric::TridiagWorkspace& tws) {
+                               numeric::TridiagWorkspace& tws,
+                               std::vector<double>* warm = nullptr) {
   ++stats.attempts;
-  SliceResult r = solve_slice_once(dev, vg, v_channel, opts, 1.0, nullptr, budget, tws);
+  SliceResult r = solve_slice_once(dev, vg, v_channel, opts, 1.0, warm, budget, tws);
   if (r.status.ok()) {
     ++stats.direct_success;
     return r;
@@ -227,8 +231,16 @@ double srh_leakage(const TftDevice& dev, double vd) {
 
 namespace {
 
+/// Warm-start potentials of one I-V sweep, reused across its slices and
+/// bias points so that no slice allocates. An empty vector means "none".
+struct WarmStarts {
+  std::vector<double> slice0;  ///< slice 0 at the sweep's previous bias point
+  std::vector<double> p1, p2;  ///< last two converged slices of this integration
+  std::vector<double> next;    ///< the next slice's direct-attempt potential
+};
+
 TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
-                                      const TransportOptions& opts) {
+                                      const TransportOptions& opts, WarmStarts& ws) {
   TransportResult out;
   out.status.reason = numeric::SolveReason::kOk;
   const double vd_mag = std::fabs(bias.vd - bias.vs);
@@ -252,10 +264,35 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
   const double dv = vd_mag / static_cast<double>(kIntegrationSteps);
   double integral = 0.0;
   double q_prev = -1.0, mu_prev = 0.0;
+  // Each slice's direct attempt starts from the linear extrapolation of the
+  // last two converged slices (v_local steps uniformly), from the last one
+  // alone, or — slice 0 — from slice 0 at the previous bias point. Only a
+  // direct success extends the chain; any retry restarts it cold.
+  ws.p1.clear();
+  ws.p2.clear();
   for (std::size_t k = 0; k <= kIntegrationSteps; ++k) {
     const double v_local = bias.vs + sgn_vd * static_cast<double>(k) * dv;
-    const SliceResult sr =
-        solve_slice_robust(dev, bias.vg, v_local, opts, budget, out.stats, tws);
+    if (!ws.p2.empty()) {
+      ws.next.resize(ws.p1.size());
+      for (std::size_t i = 0; i < ws.next.size(); ++i)
+        ws.next[i] = 2.0 * ws.p1[i] - ws.p2[i];
+    } else if (!ws.p1.empty()) {
+      ws.next = ws.p1;
+    } else if (k == 0) {
+      ws.next = ws.slice0;
+    } else {
+      ws.next.clear();
+    }
+    const SliceResult sr = solve_slice_robust(dev, bias.vg, v_local, opts, budget,
+                                              out.stats, tws, &ws.next);
+    if (sr.status.ok() && sr.status.retries == 0) {
+      if (k == 0) ws.slice0 = ws.next;
+      std::swap(ws.p2, ws.p1);
+      std::swap(ws.p1, ws.next);
+    } else {
+      ws.p1.clear();
+      ws.p2.clear();
+    }
     out.status.iterations += sr.status.iterations;
     out.status.retries += sr.status.retries;
     if (!sr.status.ok()) {
@@ -288,20 +325,27 @@ TransportResult drain_current_ex_impl(const TftDevice& dev, const Bias& bias,
   return out;
 }
 
-}  // namespace
-
-TransportResult drain_current_ex(const TftDevice& dev, const Bias& bias,
-                                 const TransportOptions& opts) {
+/// drain_current_ex_impl inside the tcad.drain_current span and counters.
+TransportResult drain_current_traced(const TftDevice& dev, const Bias& bias,
+                                     const TransportOptions& opts, WarmStarts& ws) {
   obs::Span span("tcad.drain_current");
   static obs::Counter& c_solves = obs::counter("tcad.transport.solves");
   static obs::Counter& c_failures = obs::counter("tcad.transport.failures");
   static obs::Histogram& h_iters = obs::histogram(
       "tcad.transport.iterations", {20, 40, 80, 160, 320, 640, 1280});
-  TransportResult out = drain_current_ex_impl(dev, bias, opts);
+  TransportResult out = drain_current_ex_impl(dev, bias, opts, ws);
   c_solves.add(1);
   if (!out.valid) c_failures.add(1);
   h_iters.observe(static_cast<double>(out.status.iterations));
   return out;
+}
+
+}  // namespace
+
+TransportResult drain_current_ex(const TftDevice& dev, const Bias& bias,
+                                 const TransportOptions& opts) {
+  WarmStarts ws;
+  return drain_current_traced(dev, bias, opts, ws);
 }
 
 double drain_current(const TftDevice& dev, const Bias& bias,
@@ -309,14 +353,18 @@ double drain_current(const TftDevice& dev, const Bias& bias,
   return drain_current_ex(dev, bias, opts).id;
 }
 
+// Both curves carry slice 0's potential from one bias point to the next.
+// In output_curve slice 0 (v_channel = vs) is the same problem at every vd.
+
 std::vector<IvPoint> transfer_curve(const TftDevice& dev, double vd,
                                     const std::vector<double>& vg_values,
                                     const TransportOptions& opts) {
   std::vector<IvPoint> out;
   out.reserve(vg_values.size());
+  WarmStarts ws;
   for (double vg : vg_values) {
     Bias b{vg, vd, 0.0};
-    const auto r = drain_current_ex(dev, b, opts);
+    const auto r = drain_current_traced(dev, b, opts, ws);
     out.push_back({vg, vd, r.id, r.valid});
   }
   return out;
@@ -327,9 +375,10 @@ std::vector<IvPoint> output_curve(const TftDevice& dev, double vg,
                                   const TransportOptions& opts) {
   std::vector<IvPoint> out;
   out.reserve(vd_values.size());
+  WarmStarts ws;
   for (double vd : vd_values) {
     Bias b{vg, vd, 0.0};
-    const auto r = drain_current_ex(dev, b, opts);
+    const auto r = drain_current_traced(dev, b, opts, ws);
     out.push_back({vg, vd, r.id, r.valid});
   }
   return out;
